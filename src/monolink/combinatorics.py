@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZeroPochhammer
+from .errors import DivisionByZeroPochhammer, InputError
 
 __all__ = [
     "JacobiParams",
@@ -24,6 +24,7 @@ __all__ = [
     "jacobi_via_hypergeometric",
     "hypergeometric_terminating",
     "triple_sum_lhs",
+    "triple_sum_sweep",
     "vandermonde_check",
 ]
 
@@ -31,7 +32,7 @@ __all__ = [
 def pochhammer(r: int, ell: int) -> int:
     """Rising factorial (r)_ell = r(r+1)...(r+ell-1), with (r)_0 = 1."""
     if ell < 0:
-        raise ValueError("pochhammer length must be non-negative")
+        raise InputError("pochhammer length must be non-negative")
     out = 1
     for i in range(ell):
         out *= r + i
@@ -62,7 +63,7 @@ class JacobiParams:
 
     def __post_init__(self) -> None:
         if self.d < 0:
-            raise ValueError("Jacobi degree d must be non-negative")
+            raise InputError("Jacobi degree d must be non-negative")
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +101,7 @@ def hypergeometric_terminating(d: int, n: int, c: int, z: Fraction) -> Fraction:
     numerator does not: a degenerate parameter choice with no finite value.
     """
     if d < 0:
-        raise ValueError("termination order d must be non-negative")
+        raise InputError("termination order d must be non-negative")
     z = Fraction(z)
     total = Fraction(1)
     num = 1  # (-d)_u (n)_u
@@ -140,9 +141,9 @@ def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
     with no algebraic simplification (zero factors are merely skipped).
     """
     if d < 0:
-        raise ValueError("d must be non-negative")
+        raise InputError("d must be non-negative")
     if v not in (0, 1, 2, 3):
-        raise ValueError("v must lie in 0..3")
+        raise InputError("v must lie in 0..3")
     total = 0
     for i in range(d + 1):
         bi = ext_binomial(A - v, i)
@@ -165,9 +166,36 @@ def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
     return Fraction(total)
 
 
+def triple_sum_sweep(
+    a_range: tuple[int, int], mn_bound: int, d_max: int
+) -> tuple[int, int]:
+    """(tuples checked, mismatches) of the triple-sum identity
+
+        triple_sum_lhs(A, M, N, d, v) = 2^d P^(3-N-A-M, A+M-4-d)_d(0)
+
+    over a_range[0] <= A <= a_range[1], |M|, |N| <= mn_bound,
+    0 <= d <= d_max and v in 0..3.  Raises InputError when the box is
+    empty: a sweep of nothing proves nothing.
+    """
+    count = bad = 0
+    for A in range(a_range[0], a_range[1] + 1):
+        for M in range(-mn_bound, mn_bound + 1):
+            for N in range(-mn_bound, mn_bound + 1):
+                for d in range(d_max + 1):
+                    jac = JacobiParams(3 - N - A - M, A + M - 4 - d, d)
+                    rhs = jacobi_at_zero(jac) * 2**d
+                    for v in range(4):
+                        count += 1
+                        if triple_sum_lhs(A, M, N, d, v) != rhs:
+                            bad += 1
+    if count == 0:
+        raise InputError("the triple-sum sweep box is empty")
+    return count, bad
+
+
 def vandermonde_check(m: int, n: int, p: int) -> bool:
     """True iff sum_j C(m,j) C(n,p-j) = C(m+n,p) with extended binomials."""
     if p < 0:
-        raise ValueError("p must be non-negative")
+        raise InputError("p must be non-negative")
     lhs = sum(ext_binomial(m, j) * ext_binomial(n, p - j) for j in range(p + 1))
     return lhs == ext_binomial(m + n, p)

@@ -9,6 +9,10 @@ class MonolinkError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(MonolinkError, ValueError):
+    """An argument is outside the range a function accepts."""
+
+
 class DimensionMismatch(MonolinkError):
     """Class coordinates do not match the rank of the intersection form."""
 

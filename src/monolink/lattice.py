@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, SearchExhausted, NotDivisible
+from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
 
 __all__ = [
     "CohomologyClass",
@@ -71,7 +71,7 @@ class CohomologyClass:
     @staticmethod
     def basis_vector(i: int, rank: int) -> "CohomologyClass":
         if not 0 <= i < rank:
-            raise ValueError("basis index out of range")
+            raise InputError("basis index out of range")
         return CohomologyClass(tuple(1 if j == i else 0 for j in range(rank)))
 
 
@@ -117,28 +117,6 @@ def _signature_counts(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def _integer_determinant(gram: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(gram)
-    if n == 0:
-        return 1
-    m = [list(row) for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric integer Gram matrix with its verified positive-eigenvalue count."""
@@ -155,12 +133,12 @@ class IntersectionForm:
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"gram matrix not symmetric at ({i},{j})")
+                    raise InputError(f"gram matrix not symmetric at ({i},{j})")
         pos, neg, zero = _signature_counts(rows)
         if zero != 0:
-            raise ValueError("gram matrix is degenerate")
+            raise InputError("gram matrix is degenerate")
         if b_plus is not None and b_plus != pos:
-            raise ValueError(
+            raise InputError(
                 f"declared b_plus={b_plus} but form has {pos} positive eigenvalues"
             )
         object.__setattr__(self, "gram", rows)
@@ -174,12 +152,6 @@ class IntersectionForm:
     @property
     def signature(self) -> int:
         return self.b_plus - self.b_minus
-
-    def determinant(self) -> int:
-        return _integer_determinant(self.gram)
-
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
 
     def apply(self, v: CohomologyClass) -> tuple[int, ...]:
         """Row vector v^T . gram."""

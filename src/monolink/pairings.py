@@ -19,6 +19,7 @@ from typing import Optional
 from .combinatorics import JacobiParams, ext_binomial, jacobi_at_zero
 from .errors import (
     HypothesisViolated,
+    InputError,
     JacobiZeroDivide,
     MissingMoment,
     NotDivisible,
@@ -48,7 +49,9 @@ __all__ = [
     "segre_coefficient",
     "s_constants",
     "segre_coefficient_by_inversion",
+    "segre_inversion_sweep",
     "instanton_pairing",
+    "level_one_bracket",
     "link_pairing_closed",
     "link_pairing_raw",
     "b0_coefficient",
@@ -72,13 +75,13 @@ class SegreInput:
 
     def __post_init__(self) -> None:
         if self.p < 0:
-            raise ValueError("Segre degree p must be non-negative")
+            raise InputError("Segre degree p must be non-negative")
 
 
 def s_constants(n_prime: int, n_dblprime: int, j: int) -> int:
     """S_j = sum_k 2^k C(-n', k) C(-n'', j-k)."""
     if j < 0:
-        raise ValueError("j must be non-negative")
+        raise InputError("j must be non-negative")
     return sum(
         (ext_binomial(-n_prime, k) * ext_binomial(-n_dblprime, j - k)) << k
         for k in range(j + 1)
@@ -90,16 +93,44 @@ def segre_coefficient(inp: SegreInput) -> int:
     return s_constants(inp.n_prime, inp.n_dblprime, inp.p)
 
 
-def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> Fraction:
+def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> int:
     """Independent oracle: mu^p coefficient of the truncated series inverse
-    of the total Chern class (1+2mu)^n' (1+mu)^n''."""
+    of the total Chern class (1+2mu)^n' (1+mu)^n''.
+
+    Works on integer coefficient lists: every factor has constant term 1,
+    so the Chern class and its inverse are integral.
+    """
     if p < 0:
-        raise ValueError("p must be non-negative")
-    bound = p
-    mu = polyring.variable(0, 1, bound)
-    one = constant(1, 1, bound)
-    chern = ((one + 2 * mu) ** n_prime) * ((one + mu) ** n_dblprime)
-    return chern.inverse().coefficient((p,))
+        raise InputError("p must be non-negative")
+    chern = [1] + [0] * p
+    for slope, power in ((2, n_prime), (1, n_dblprime)):
+        for _ in range(abs(power)):
+            if power > 0:  # times (1 + slope mu), top coefficient first
+                for i in range(p, 0, -1):
+                    chern[i] += slope * chern[i - 1]
+            else:  # divided by (1 + slope mu), bottom coefficient first
+                for i in range(1, p + 1):
+                    chern[i] -= slope * chern[i - 1]
+    inverse = [1]
+    for k in range(1, p + 1):
+        inverse.append(-sum(chern[j] * inverse[k - j] for j in range(1, k + 1)))
+    return inverse[p]
+
+
+def segre_inversion_sweep() -> tuple[int, int]:
+    """(tuples checked, mismatches) of segre_coefficient against its
+    inversion oracle over |n'|, |n''| <= 5, 0 <= p <= 10."""
+    grid = [
+        (n1, n2, p)
+        for n1 in range(-5, 6)
+        for n2 in range(-5, 6)
+        for p in range(11)
+    ]
+    bad = sum(
+        segre_coefficient_by_inversion(*g) != segre_coefficient(SegreInput(*g))
+        for g in grid
+    )
+    return len(grid), bad
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +166,9 @@ def instanton_pairing(
         return constant(6 * square(X.form, diff) + 2 * c1_squared(X), n, bound)
     if kind == "nu_alpha_h":
         if alpha is None:
-            raise ValueError("nu_alpha_h needs the class alpha")
+            raise InputError("nu_alpha_h needs the class alpha")
         return 2 * linear_form(alpha, X.form, bound)
-    raise ValueError(f"unknown pairing kind {kind!r}; expected one of {INSTANTON_KINDS}")
+    raise InputError(f"unknown pairing kind {kind!r}; expected one of {INSTANTON_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +256,55 @@ def _jacobi_pair(inp: PairingInput) -> tuple[int, int, int]:
     return a, b, d
 
 
+def level_one_bracket(
+    X: FourManifoldData,
+    beta: CohomologyClass,
+    t: CohomologyClass,
+    n: int,
+    m: int,
+    k: int,
+    jac: JacobiParams,
+) -> TruncatedPolynomial:
+    """The three-term level-one bracket, homogeneous of degree n - k:
+
+        (a0 P + 2(beta.t) P1) <beta,h>^(n-k) + 2(n-k) P1 <beta,h>^(n-k-1) <t,h>
+          + 4 C(n-k,2) P <beta,h>^(n-k-2) Q(h),
+
+    a0 = 3 beta^2 + c1^2(X) + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi
+    values at `jac` = (a, b, d) and (a-1, b+1, d).  Ratio-free: the
+    obstruction and lattice cross terms carry P1, never P1/P.  Terms with a
+    negative power of <beta,h> are dropped.
+    """
+    Q = X.form
+    deg = n - k
+    if deg < 0:
+        return polyring.zero(Q.rank, 0)
+    P = jacobi_at_zero(jac)
+    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
+    bf = linear_form(beta, Q, deg)
+    a0 = 3 * square(Q, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
+    out = (a0 * P + 2 * pair(Q, beta, t) * P1) * bf**deg
+    if deg >= 1:
+        out = out + (2 * deg * P1) * (bf ** (deg - 1) * linear_form(t, Q, deg))
+    if deg >= 2:
+        qf = quadratic_form(Q, deg)
+        out = out + (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * qf)
+    return out
+
+
 def _bracket_closed(
     inp: PairingInput, k: int, use_sw: bool
 ) -> TruncatedPolynomial:
-    """The three-term bracket of the closed formula, k exceptional slots.
-
-    Ratio-free: every coefficient is multiplied through by the Jacobi value
-    P^{a,b}, with the obstruction term and the lattice cross term carrying
-    the shifted value P^{a-1,b+1}.  Terms whose power of the leading linear
-    form would be negative are omitted.
-    """
+    """The level-one bracket for a pairing input with k exceptional slots,
+    times (-1)^(m+1+d) 2^(d-delta) and the moment (or the invariant)."""
     a, b, d = _jacobi_pair(inp)
-    P = jacobi_at_zero(JacobiParams(a, b, d))
-    P1 = jacobi_at_zero(JacobiParams(a - 1, b + 1, d))
-    X, Q = inp.X, inp.X.form
-    diff = inp.s.c1 - inp.t_prime.c1
     n = inp.delta - 2 * inp.m
-    deg = max(n - k, 0)
-    bound = max(deg, 2)
-    nv = Q.rank
-    out = polyring.zero(nv, bound)
-    if n - k < 0:
-        return out.truncate(deg)
-    bf = linear_form(diff, Q, bound)
-    cross = pair(Q, diff, inp.t_prime.c1)
-    a0_plain = (
-        3 * square(Q, diff) + c1_squared(X) + 4 * n - 4 * inp.m - 4 * comb(k + 1, 2)
-    )
-    out = out + (a0_plain * P + 2 * cross * P1) * bf ** (n - k)
-    if n - k >= 1:
-        lt = linear_form(inp.t_prime.c1, Q, bound)
-        out = out + (2 * (n - k) * P1) * (bf ** (n - k - 1) * lt)
-    if n - k >= 2:
-        qf = quadratic_form(Q, bound)
-        out = out + (4 * comb(n - k, 2) * P) * (bf ** (n - k - 2) * qf)
+    beta, t = inp.s.c1 - inp.t_prime.c1, inp.t_prime.c1
+    bracket = level_one_bracket(inp.X, beta, t, n, inp.m, k, JacobiParams(a, b, d))
     sign = -1 if (inp.m + 1 + d) % 2 else 1
     mom = inp.s.sw if use_sw else inp.moment()
     scale = Fraction(sign * mom) * Fraction(2**d, 2**inp.delta)
-    return (scale * out).truncate(deg)
+    return (scale * bracket).truncate(max(n - k, 0))
 
 
 def link_pairing_closed(inp: PairingInput) -> PairingValue:
@@ -374,7 +416,7 @@ def blow_up_pairing_closed(inp: PairingInput, k: int) -> PairingValue:
     scaled by the orientation sign and the invariant of the un-blown class.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise InputError("k must be non-negative")
     deg = max(inp.delta - 2 * inp.m - k, 0)
     if k % 2 == 1:
         zero_poly = polyring.zero(inp.X.form.rank, deg)
@@ -410,7 +452,7 @@ def blow_up_pairing_polarized(inp: PairingInput, k: int) -> PairingValue:
     for even k and vanish identically for odd k.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise InputError("k must be non-negative")
     n_args = inp.delta + 1 - 2 * inp.m
     n_h = inp.delta - 2 * inp.m - k
     deg = max(n_h, 0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add as _add
 from typing import Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, NonzeroConstantTerm
+from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from .lattice import CohomologyClass, IntersectionForm
 
 Scalar = Union[int, Fraction]
@@ -39,7 +39,7 @@ class TruncatedPolynomial:
 
     def __post_init__(self) -> None:
         if self.bound < 0:
-            raise ValueError("degree bound must be non-negative")
+            raise InputError("degree bound must be non-negative")
         clean = {}
         for expo, coeff in self.terms.items():
             if sum(expo) > self.bound:
@@ -71,19 +71,9 @@ class TruncatedPolynomial:
 
     def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         bound = self._align(other)
-        if bound == self.bound == other.bound:
-            terms = dict(self.terms)
-            for expo, c in other.terms.items():
-                acc = terms.get(expo)
-                total = c if acc is None else acc + c
-                if total:
-                    terms[expo] = total
-                elif acc is not None:
-                    del terms[expo]
-            return TruncatedPolynomial._fast(self.nvars, bound, terms)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= bound}
+        terms = dict(self.terms) if bound == self.bound else self.truncate(bound).terms
         for expo, c in other.terms.items():
-            if sum(expo) > bound:
+            if bound < other.bound and sum(expo) > bound:
                 continue
             acc = terms.get(expo)
             total = c if acc is None else acc + c
@@ -111,29 +101,6 @@ class TruncatedPolynomial:
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         bound = self._align(other)
-        if self.nvars == 1:
-            # dense convolution: much less dict/tuple churn for series work
-            a = [0] * (bound + 1)
-            b = [0] * (bound + 1)
-            for (e,), c in self.terms.items():
-                if e <= bound:
-                    a[e] = c
-            for (e,), c in other.terms.items():
-                if e <= bound:
-                    b[e] = c
-            out1: dict[tuple[int, ...], Fraction] = {}
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j in range(bound + 1 - i):
-                    cb = b[j]
-                    if cb:
-                        key = (i + j,)
-                        acc = out1.get(key)
-                        out1[key] = ca * cb if acc is None else acc + ca * cb
-            for key in [k for k, v in out1.items() if not v]:
-                del out1[key]
-            return TruncatedPolynomial._fast(1, bound, out1)
         left = sorted(
             ((sum(e), e, c) for e, c in self.terms.items()), key=lambda t: t[0]
         )
@@ -190,21 +157,6 @@ class TruncatedPolynomial:
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("inverse needs nonzero constant term")
-        if self.nvars == 1:
-            # direct coefficient recurrence
-            f = [Fraction(0)] * (self.bound + 1)
-            for (e,), c in self.terms.items():
-                f[e] = c
-            inv = [1 / c0]
-            for k in range(1, self.bound + 1):
-                acc = Fraction(0)
-                for j in range(1, k + 1):
-                    if f[j]:
-                        acc += f[j] * inv[k - j]
-                inv.append(-acc / c0)
-            return TruncatedPolynomial._fast(
-                1, self.bound, {(k,): c for k, c in enumerate(inv) if c}
-            )
         # self = c0 (1 - u);  1/self = (1/c0) sum u^k
         u = constant(1, self.nvars, self.bound) - Fraction(1, 1) / c0 * self
         out = constant(1, self.nvars, self.bound)
@@ -226,7 +178,7 @@ class TruncatedPolynomial:
 
     def homogeneous_part(self, d: int) -> "TruncatedPolynomial":
         if d < 0:
-            raise ValueError("degree must be non-negative")
+            raise InputError("degree must be non-negative")
         return TruncatedPolynomial._fast(
             self.nvars,
             self.bound,
@@ -235,7 +187,7 @@ class TruncatedPolynomial:
 
     def truncate(self, bound: int) -> "TruncatedPolynomial":
         if bound < 0:
-            raise ValueError("degree bound must be non-negative")
+            raise InputError("degree bound must be non-negative")
         return TruncatedPolynomial._fast(
             self.nvars,
             bound,

@@ -17,6 +17,7 @@ from .combinatorics import JacobiParams, jacobi_at_zero
 from .errors import (
     BoundTooHigh,
     HypothesisViolated,
+    InputError,
     NonIntegralExponent,
     NonIntegralSign,
     NotCongruent,
@@ -24,7 +25,6 @@ from .errors import (
 from .lattice import CohomologyClass, is_characteristic, pair, square
 from .manifold import (
     FourManifoldData,
-    c1_squared,
     c_of_X,
     degree_parity_ok,
     dim_sw,
@@ -32,6 +32,7 @@ from .manifold import (
     require_odd_b_plus,
 )
 from . import polyring
+from .pairings import level_one_bracket
 from .polyring import TruncatedPolynomial, linear_form, quadratic_form
 
 __all__ = [
@@ -59,17 +60,20 @@ def _two_pow(exponent: int) -> Fraction:
     return Fraction(2**exponent) if exponent >= 0 else Fraction(1, 2**-exponent)
 
 
+def _signed_support(X: FourManifoldData, w: CohomologyClass):
+    """(s, (-1)^((w^2 + c1(s).w)/2) SW(s)) for every s with SW(s) != 0."""
+    Q = X.form
+    w2 = square(Q, w)
+    for s in X.support():
+        eps = _half(w2 + pair(Q, s.c1, w), "w^2 + c1.w")
+        yield s, _sign_pow(eps) * s.sw
+
+
 def sw_series(X: FourManifoldData, w: CohomologyClass, bound: int) -> TruncatedPolynomial:
     """sum_s (-1)^((w^2 + c1(s).w)/2) SW(s) exp(<c1(s), h>), truncated."""
-    Q = X.form
-    out = polyring.zero(Q.rank, bound)
-    w2 = square(Q, w)
-    for s in X.basic_classes:
-        if s.sw == 0:
-            continue
-        eps = _half(w2 + pair(Q, s.c1, w), "w^2 + c1.w")
-        term = linear_form(s.c1, Q, bound).exp_series()
-        out = out + (_sign_pow(eps) * s.sw) * term
+    out = polyring.zero(X.form.rank, bound)
+    for s, signed_sw in _signed_support(X, w):
+        out = out + signed_sw * linear_form(s.c1, X.form, bound).exp_series()
     return out
 
 
@@ -80,18 +84,15 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
     The vanishing law holds for v characteristic (or congruent
     to characteristic mod the invariant's support annihilator) when
     d < c(X)-2 or d has the wrong parity; this returns the actual truth so
-    fixtures violating those hypotheses are detectable.
+    fixtures violating those hypotheses are detectable.  verify_witten
+    reads the same sums off the degree-d parts of sw_series; this direct
+    power sum is their oracle.
     """
     if d < 0:
-        raise ValueError("d must be non-negative")
-    Q = X.form
-    total = polyring.zero(Q.rank, d)
-    v2 = square(Q, v)
-    for s in X.basic_classes:
-        if s.sw == 0:
-            continue
-        eps = _half(v2 + pair(Q, v, s.c1), "v^2 + v.c1")
-        total = total + (_sign_pow(eps) * s.sw) * linear_form(s.c1, Q, d) ** d
+        raise InputError("d must be non-negative")
+    total = polyring.zero(X.form.rank, d)
+    for s, signed_sw in _signed_support(X, v):
+        total = total + signed_sw * linear_form(s.c1, X.form, d) ** d
     return total.is_zero()
 
 
@@ -148,8 +149,6 @@ def donaldson_moment(
     w2 = square(Q, w)
     quarter = (X.chi + X.sigma) // 4
     out = polyring.zero(Q.rank, n)
-    qf = quadratic_form(Q, n) if n >= 2 else None
-    lt = linear_form(lam, Q, n) if n >= 1 else None
     for s, r_s in zip(X.basic_classes, info.per_class):
         if s.sw == 0 or r_s not in (delta, delta - 4):
             continue
@@ -161,21 +160,12 @@ def donaldson_moment(
         a = (info.i_value - delta) // 4 - d
         b = -d - quarter
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
-        bf = linear_form(s.c1 - lam, Q, n)
         if r_s == delta:
             P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
-            out = out + (scale * P_top) * bf**n
+            out = out + (scale * P_top) * linear_form(s.c1 - lam, Q, n) ** n
         else:
-            P = jacobi_at_zero(JacobiParams(a, b, d))
-            P1 = jacobi_at_zero(JacobiParams(a - 1, b + 1, d))
-            cross = pair(Q, s.c1 - lam, lam)
-            a0_plain = 3 * square(Q, s.c1 - lam) + c1_squared(X) + 4 * delta - 12 * m
-            bracket = (a0_plain * P + 2 * cross * P1) * bf**n
-            if n >= 1:
-                bracket = bracket + (2 * n * P1) * (bf ** (n - 1) * lt)
-            if n >= 2:
-                bracket = bracket + (4 * math.comb(n, 2) * P) * (bf ** (n - 2) * qf)
-            out = out + scale * bracket
+            jac = JacobiParams(a, b, d)
+            out = out + scale * level_one_bracket(X, s.c1 - lam, lam, n, m, 0, jac)
     return prefactor * out
 
 
@@ -200,13 +190,9 @@ def _moment_top_level(
     if not X.is_simple_type():
         raise HypothesisViolated("top-level moment formula needs simple type")
     c = c_of_X(X)
-    w2 = square(Q, w)
     out = polyring.zero(Q.rank, n)
-    for s in X.basic_classes:
-        if s.sw == 0:
-            continue
-        eps = _half(w2 + pair(Q, s.c1, w), "w^2 + c1.w")
-        out = out + (_sign_pow(eps) * s.sw) * linear_form(s.c1 - lam, Q, n) ** n
+    for s, signed_sw in _signed_support(X, w):
+        out = out + signed_sw * linear_form(s.c1 - lam, Q, n) ** n
     return (_sign_pow(m + 1) * _two_pow(2 - c)) * out
 
 
@@ -251,7 +237,7 @@ def assemble_donaldson_series(
             f"bound {bound} exceeds c(X)+1 = {c + 1}, the level-one range"
         )
     if bound < 0:
-        raise ValueError("bound must be non-negative")
+        raise InputError("bound must be non-negative")
     info = r_and_i(X, lam, X.basic_classes)
     out = polyring.zero(X.form.rank, bound)
     for e in range(bound + 1):
@@ -438,40 +424,30 @@ def verify_witten(
 
     bound = c + 1
     lhs = assemble_donaldson_series(X, w, lam, bound)
-    rhs = (
-        _two_pow(2 - c)
-        * ((Fraction(1, 2) * quadratic_form(Q, bound)).exp_series()
-           * sw_series(X, w, bound))
-    )
+    sw = sw_series(X, w, bound)
+    qf = quadratic_form(Q, bound)
+    rhs = _two_pow(2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(
         DegreeRow(e, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
         for e in range(bound + 1)
     )
+    # Degree d of sw is sum_s eps_s SW(s) <c1(s),h>^d / d!: the power sums
+    # of the vanishing rows and both coefficient identities.
+    sw_parts = [sw.homogeneous_part(d) for d in range(bound + 1)]
     vanishing = tuple(
         VanishingRow(
             d,
             expected=(d < c - 2) or ((d - c) % 2 != 0),
-            actual=sw_vanishing_check(X, w, d),
+            actual=sw_parts[d].is_zero(),
         )
         for d in range(bound + 1)
     )
-
-    w2 = square(Q, w)
     point_lhs = donaldson_moment(X, w, lam, c, 1)
-    point_rhs = polyring.zero(Q.rank, c - 2)
-    top_rhs = polyring.zero(Q.rank, c)
-    for s in X.support():
-        eps = _half(w2 + pair(Q, s.c1, w), "w^2 + c1.w")
-        lf = linear_form(s.c1, Q, c)
-        point_rhs = point_rhs + (_sign_pow(eps) * s.sw) * (
-            linear_form(s.c1, Q, c - 2) ** (c - 2)
-        )
-        top_rhs = top_rhs + (_sign_pow(eps) * s.sw) * (
-            lf**c + math.comb(c, 2) * (lf ** (c - 2) * quadratic_form(Q, c))
-        )
-    point_rhs = _two_pow(3 - c) * point_rhs
-    top_rhs = _two_pow(2 - c) * top_rhs
+    point_rhs = (_two_pow(3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
     top_lhs = donaldson_moment(X, w, lam, c, 0)
+    top_rhs = (_two_pow(2 - c) * math.factorial(c)) * (
+        sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
+    )
 
     return WittenReport(
         manifold=X.name,

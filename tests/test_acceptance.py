@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 from monolink.cli import main
-from monolink.combinatorics import JacobiParams, jacobi_at_zero, triple_sum_lhs
+from monolink.combinatorics import triple_sum_sweep
 from monolink.lattice import CohomologyClass, square
 from monolink.manifold import (
     SpinuData,
@@ -19,13 +19,11 @@ from monolink.manifold import (
 )
 from monolink.pairings import (
     PairingInput,
-    SegreInput,
     blow_up_pairing_closed,
     blow_up_pairing_polarized,
     link_pairing_closed,
     link_pairing_raw,
-    segre_coefficient,
-    segre_coefficient_by_inversion,
+    segre_inversion_sweep,
 )
 from monolink.polyring import quadratic_form
 from monolink.witten import (
@@ -51,22 +49,10 @@ def _report(criterion: str, ok: bool, elapsed: float, budget: float, detail: str
 
 def test_criterion_1_combinatorial_identity_sweep():
     start = time.monotonic()
-    mismatches = 0
-    count = 0
-    for A in range(-6, 11):
-        for M in range(-6, 7):
-            for N in range(-6, 7):
-                for d in range(9):
-                    rhs = Fraction(2**d) * jacobi_at_zero(
-                        JacobiParams(3 - N - A - M, A + M - 4 - d, d)
-                    )
-                    for v in range(4):
-                        count += 1
-                        if triple_sum_lhs(A, M, N, d, v) != rhs:
-                            mismatches += 1
+    count, mismatches = triple_sum_sweep((-6, 10), 6, 8)
     _report(
         "1.triple-sum-identity",
-        mismatches == 0,
+        mismatches == 0 and count == 103_428,
         time.monotonic() - start,
         10.0,
         f"tuples={count} mismatches={mismatches}",
@@ -75,18 +61,10 @@ def test_criterion_1_combinatorial_identity_sweep():
 
 def test_criterion_2_segre_oracle():
     start = time.monotonic()
-    mismatches = 0
-    count = 0
-    for n1 in range(-5, 6):
-        for n2 in range(-5, 6):
-            for p in range(11):
-                count += 1
-                direct = segre_coefficient(SegreInput(n1, n2, p))
-                if segre_coefficient_by_inversion(n1, n2, p) != direct:
-                    mismatches += 1
+    count, mismatches = segre_inversion_sweep()
     _report(
         "2.segre-oracle",
-        mismatches == 0,
+        mismatches == 0 and count == 1_331,
         time.monotonic() - start,
         1.0,
         f"tuples={count} mismatches={mismatches}",

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monolink.cli import (
     load_catalog_fixture,
@@ -197,3 +198,70 @@ def test_output_determinism():
             chunks.append(text)
         runs.append("".join(chunks))
     assert runs[0] == runs[1]
+
+
+def test_negative_blowup_k_is_input_error():
+    code, text = _run("pairing", "k3", "--delta", "2", "--m", "0", "--blowup-k", "-1")
+    assert code == 2
+    assert "PASS" not in text and text.startswith("ERROR InputError:")
+
+
+def test_empty_fuzz_sweep_is_input_error():
+    for argv in (
+        ("--d-max", "-1"),
+        ("--a-min", "3", "--a-max", "2"),
+        ("--mn-bound", "-1"),
+    ):
+        code, text = _run("fuzz-identities", *argv)
+        assert code == 2, argv
+        assert "PASS" not in text and text.startswith("ERROR InputError:")
+
+
+# Cheap argv only: the k3 fixture and small fuzz-identities boxes.  Pairing
+# is listed twice so that its narrow admissible range is sampled often.
+_INT = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["", "x", "1.5"]))
+_FIXTURE = st.sampled_from(["k3", "k3", "k3", "no-such-fixture"])
+_H = st.lists(st.integers(-2, 2), min_size=21, max_size=23).map(
+    lambda v: ",".join(map(str, v))
+)
+_PAIRING = st.tuples(
+    _FIXTURE,
+    st.integers(0, 3).map(str),
+    st.integers(-1, 1).map(str),
+    st.sampled_from([[], ["--oracle"]]),
+    st.one_of(st.just([]), _INT.map(lambda k: ["--blowup-k", k])),
+    st.one_of(st.just([]), _H.map(lambda h: ["--h", h])),
+).map(lambda a: ["pairing", a[0], "--delta", a[1], "--m", a[2], *a[3], *a[4], *a[5]])
+_ARGV = st.one_of(
+    st.just(["catalog"]),
+    st.tuples(st.just("verify"), _FIXTURE).map(list),
+    st.tuples(_FIXTURE, _INT, _INT).map(
+        lambda a: ["moment", a[0], "--delta", a[1], "--m", a[2]]
+    ),
+    _PAIRING,
+    _PAIRING,
+    st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 2), st.integers(-2, 3)
+    ).map(
+        lambda a: ["fuzz-identities", "--a-min", str(a[0]), "--a-max", str(a[1]),
+                   "--mn-bound", str(a[2]), "--d-max", str(a[3])]
+    ),
+    st.lists(
+        st.sampled_from(["verify", "pairing", "k3", "--delta", "--m", "2", "--bogus"]),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(_ARGV)
+def test_every_argv_exits_0_1_or_2(argv):
+    buf = io.StringIO()
+    try:
+        code = main(argv, out=buf)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    lines = buf.getvalue().splitlines()
+    failed = any(line.startswith("CHECK ") and " FAIL" in line for line in lines)
+    assert code != 1 or failed, argv

@@ -50,6 +50,13 @@ def test_characteristic_numbers(k3, e3, s2xs2):
     assert c_of_X(e3.manifold) == 3
 
 
+def test_c_of_x_is_chi_h_minus_c1_squared(k3, e3, e5):
+    # -(7chi+11sigma)/4 = (chi+sigma)/4 - (2chi+3sigma) holds identically.
+    for fx in (k3, e3, e5):
+        X = fx.manifold
+        assert c_of_X(X) == holomorphic_euler(X) - c1_squared(X)
+
+
 def test_c_of_x_not_divisible():
     X = FourManifoldData.__new__(FourManifoldData)
     object.__setattr__(X, "chi", 5)

@@ -57,6 +57,17 @@ def test_sw_vanishing_check_e3(e3):
         assert sw_vanishing_check(X, e3.w, d) == expected
 
 
+def test_verify_vanishing_rows_match_power_sum_oracle(k3, e3):
+    for fx in (k3, e3):
+        X = fx.manifold
+        report = verify_witten(X, fx.w, fx.lam)
+        degrees = range(c_of_X(X) + 2)
+        assert [row.degree for row in report.vanishing] == list(degrees)
+        assert [row.actual for row in report.vanishing] == [
+            sw_vanishing_check(X, fx.w, d) for d in degrees
+        ]
+
+
 def test_donaldson_moment_k3_examples(k3):
     X = k3.manifold
     q = quadratic_form(X.form, 2)
