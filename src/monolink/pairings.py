@@ -40,7 +40,7 @@ from .manifold import (
     orientation_sign,
 )
 from . import polyring
-from .polyring import TruncatedPolynomial, constant, linear_form, quadratic_form
+from .polyring import Span, TruncatedPolynomial, constant, linear_form, quadratic_form
 
 __all__ = [
     "SegreInput",
@@ -258,6 +258,7 @@ def _jacobi_pair(inp: PairingInput) -> tuple[int, int, int]:
 
 def level_one_bracket(
     X: FourManifoldData,
+    span: Span,
     beta: CohomologyClass,
     t: CohomologyClass,
     n: int,
@@ -273,21 +274,22 @@ def level_one_bracket(
     a0 = 3 beta^2 + c1^2(X) + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi
     values at `jac` = (a, b, d) and (a-1, b+1, d).  Ratio-free: the
     obstruction and lattice cross terms carry P1, never P1/P.  Terms with a
-    negative power of <beta,h> are dropped.
+    negative power of <beta,h> are dropped.  Computed in `span`, which must
+    contain beta and t.
     """
     Q = X.form
     deg = n - k
     if deg < 0:
-        return polyring.zero(Q.rank, 0)
+        return polyring.zero(span.nvars, 0)
     P = jacobi_at_zero(jac)
     P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
-    bf = linear_form(beta, Q, deg)
+    bf = span.linear(beta, deg)
     a0 = 3 * square(Q, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
     out = (a0 * P + 2 * pair(Q, beta, t) * P1) * bf**deg
     if deg >= 1:
-        out = out + (2 * deg * P1) * (bf ** (deg - 1) * linear_form(t, Q, deg))
+        out = out + (2 * deg * P1) * (bf ** (deg - 1) * span.linear(t, deg))
     if deg >= 2:
-        qf = quadratic_form(Q, deg)
+        qf = span.quadratic(deg)
         out = out + (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * qf)
     return out
 
@@ -300,11 +302,14 @@ def _bracket_closed(
     a, b, d = _jacobi_pair(inp)
     n = inp.delta - 2 * inp.m
     beta, t = inp.s.c1 - inp.t_prime.c1, inp.t_prime.c1
-    bracket = level_one_bracket(inp.X, beta, t, n, inp.m, k, JacobiParams(a, b, d))
+    span = Span(inp.X.form, (beta, t))
+    bracket = level_one_bracket(
+        inp.X, span, beta, t, n, inp.m, k, JacobiParams(a, b, d)
+    )
     sign = -1 if (inp.m + 1 + d) % 2 else 1
     mom = inp.s.sw if use_sw else inp.moment()
     scale = Fraction(sign * mom) * Fraction(2**d, 2**inp.delta)
-    return (scale * bracket).truncate(max(n - k, 0))
+    return span.expand((scale * bracket).truncate(max(n - k, 0)))
 
 
 def link_pairing_closed(inp: PairingInput) -> PairingValue:

@@ -3,7 +3,9 @@
 The carrier for all series work: sparse terms keyed by exponent tuples,
 truncated at a total-degree bound.  Arithmetic between operands requires
 equal variable counts and takes the smaller bound.  Rendering is
-deterministic (graded lexicographic order, coefficients as p/q).
+deterministic (graded lexicographic order, coefficients as p/q).  `Span`
+gives series that involve only a few linear forms <v, h> and Q(h) a ring
+with a few variables, and expands its results back to the h-basis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import add as _add
 from typing import Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
-from .lattice import CohomologyClass, IntersectionForm
+from .lattice import CohomologyClass, IntersectionForm, pair
 
 Scalar = Union[int, Fraction]
 
@@ -26,6 +28,7 @@ __all__ = [
     "variable",
     "linear_form",
     "quadratic_form",
+    "Span",
 ]
 
 
@@ -299,3 +302,155 @@ def quadratic_form(Q: IntersectionForm, bound: int) -> TruncatedPolynomial:
             key = tuple(expo)
             terms[key] = terms.get(key, Fraction(0)) + coeff
     return TruncatedPolynomial(n, bound, terms)
+
+
+class Span:
+    """Coordinates for series that only involve <v, h> for v in `classes`
+    and Q(h).
+
+    Exact row reduction keeps a linearly independent subset v_1..v_k of the
+    classes, in the order given; the variables x_i stand for <v_i, h>.
+    While k < rank, two more degree-one variables u, v follow the x_i and
+    Q(h) is the monomial u*v, so the ordinary total-degree truncation is
+    the truncation in h.  `linear`, `quadratic` and the ring operations
+    never leave the subring Q[x, uv]; `expand` maps it back to the h-basis.
+
+    Exactness: when k < rank, Q(h) is not a polynomial in the k forms x_i,
+    because its rank exceeds k.  The field Q(x) is algebraically closed in
+    Q(h), so Q(h) is transcendental over Q(x), and x^a (uv)^b ->
+    prod <v_i,h>^(a_i) Q(h)^b is an injective graded ring map
+    Q[x, uv] -> Q[h].  Equality and `is_zero` in the reduced ring are
+    therefore exact, not a test at random points.  When k = rank the x_i are
+    a basis of the linear forms, there are no u, v, and Q(h) = x^T G^-1 x
+    with G the Gram matrix of v_1..v_k.
+    """
+
+    def __init__(
+        self, form: IntersectionForm, classes: Sequence[CohomologyClass]
+    ) -> None:
+        self.form = form
+        self.basis: list[CohomologyClass] = []
+        # Rows in insertion order, each reduced against the earlier ones
+        # and scaled to 1 at its pivot, with its combination of the basis.
+        self._echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
+        for cls in classes:
+            row, combo = self._reduce(cls)
+            pivot = next((j for j, c in enumerate(row) if c), None)
+            if pivot is None:
+                continue
+            # row = cls - sum_i combo_i v_i, and cls becomes the next v_i.
+            scale = 1 / row[pivot]
+            self._echelon.append(
+                (pivot, [c * scale for c in row], [-c * scale for c in combo] + [scale])
+            )
+            self.basis.append(cls)
+        k = self.k = len(self.basis)
+        self.full_rank = k == form.rank
+        self.nvars = k if self.full_rank else k + 2
+        if self.full_rank:
+            gram = [[Fraction(pair(form, a, b)) for b in self.basis]
+                    for a in self.basis]
+            inv = _inverse(gram)
+            self._quadratic_terms = {}
+            for i in range(k):
+                for j in range(i, k):
+                    expo = [0] * k
+                    expo[i] += 1
+                    expo[j] += 1
+                    c = inv[i][j] if i == j else 2 * inv[i][j]
+                    self._quadratic_terms[tuple(expo)] = c
+        else:
+            self._quadratic_terms = {(0,) * k + (1, 1): Fraction(1)}
+        self._h_linear = [linear_form(v, form, 1) for v in self.basis]
+        self._h_quadratic = quadratic_form(form, 2)
+        self._images: dict = {}
+
+    def _reduce(self, cls: CohomologyClass) -> tuple[list[Fraction], list[Fraction]]:
+        """(remainder, c) with cls = remainder + sum_i c_i v_i."""
+        self.form._require_rank(cls)
+        row = [Fraction(c) for c in cls.coords]
+        combo = [Fraction(0)] * len(self.basis)
+        for pivot, erow, ecombo in self._echelon:
+            f = row[pivot]
+            if f:
+                row = [a - f * b for a, b in zip(row, erow)]
+                for i, b in enumerate(ecombo):
+                    combo[i] += f * b
+        return row, combo
+
+    def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
+        """<cls, h> in the variables x_i; cls must lie in the span."""
+        row, combo = self._reduce(cls)
+        if any(row):
+            raise InputError(f"class {cls.coords} is not in the span")
+        terms = {}
+        for i, c in enumerate(combo):
+            if c:
+                expo = [0] * self.nvars
+                expo[i] = 1
+                terms[tuple(expo)] = c
+        return TruncatedPolynomial(self.nvars, bound, terms)
+
+    def quadratic(self, bound: int) -> TruncatedPolynomial:
+        """Q(h): u*v while k < rank, x^T G^-1 x when k = rank."""
+        return TruncatedPolynomial(self.nvars, bound, self._quadratic_terms)
+
+    def expand(self, p: TruncatedPolynomial) -> TruncatedPolynomial:
+        """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b."""
+        if p.nvars != self.nvars:
+            raise DimensionMismatch(
+                f"variable counts differ: {p.nvars} vs {self.nvars}"
+            )
+        out: dict[tuple[int, ...], Fraction] = {}
+        get = out.get
+        for expo, c in p.terms.items():
+            a = expo[: self.k]
+            b = 0
+            if not self.full_rank:
+                b, b_v = expo[self.k :]
+                if b != b_v:
+                    raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
+            for e, d in self._image(a, b).terms.items():
+                acc = get(e)
+                out[e] = c * d if acc is None else acc + c * d
+        clean = {e: c for e, c in out.items() if c}
+        return TruncatedPolynomial._fast(self.form.rank, p.bound, clean)
+
+    def _image(self, a: tuple[int, ...], b: int) -> TruncatedPolynomial:
+        """prod <v_i,h>^(a_i) Q(h)^b, with its degree as bound (memoised)."""
+        img = self._images.get((a, b))
+        if img is None:
+            deg = sum(a) + 2 * b
+            if deg == 0:
+                img = constant(1, self.form.rank, 0)
+            else:
+                if b:
+                    prev, factor = self._image(a, b - 1), self._h_quadratic
+                else:
+                    i = max(j for j, e in enumerate(a) if e)
+                    lower = a[:i] + (a[i] - 1,) + a[i + 1 :]
+                    prev, factor = self._image(lower, 0), self._h_linear[i]
+                # Both factors are exact homogeneous polynomials of degree at
+                # most deg, so raising their bound to deg drops nothing.
+                img = prev.truncate(deg) * factor.truncate(deg)
+            self._images[(a, b)] = img
+        return img
+
+
+def _inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular rational matrix by Gauss-Jordan elimination."""
+    n = len(m)
+    aug = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = 1 / aug[col][col]
+        aug[col] = [x * scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

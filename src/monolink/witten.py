@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -33,7 +34,7 @@ from .manifold import (
 )
 from . import polyring
 from .pairings import level_one_bracket
-from .polyring import TruncatedPolynomial, linear_form, quadratic_form
+from .polyring import Span, TruncatedPolynomial, linear_form
 
 __all__ = [
     "WittenReport",
@@ -69,12 +70,24 @@ def _signed_support(X: FourManifoldData, w: CohomologyClass):
         yield s, _sign_pow(eps) * s.sw
 
 
+def _span(X: FourManifoldData, *extra: CohomologyClass) -> Span:
+    """The span of the basic classes with nonzero invariant and `extra`."""
+    return Span(X.form, [s.c1 for s in X.support()] + list(extra))
+
+
+def _sw_series(
+    span: Span, X: FourManifoldData, w: CohomologyClass, bound: int
+) -> TruncatedPolynomial:
+    out = polyring.zero(span.nvars, bound)
+    for s, signed_sw in _signed_support(X, w):
+        out = out + signed_sw * span.linear(s.c1, bound).exp_series()
+    return out
+
+
 def sw_series(X: FourManifoldData, w: CohomologyClass, bound: int) -> TruncatedPolynomial:
     """sum_s (-1)^((w^2 + c1(s).w)/2) SW(s) exp(<c1(s), h>), truncated."""
-    out = polyring.zero(X.form.rank, bound)
-    for s, signed_sw in _signed_support(X, w):
-        out = out + signed_sw * linear_form(s.c1, X.form, bound).exp_series()
-    return out
+    span = _span(X)
+    return span.expand(_sw_series(span, X, w, bound))
 
 
 def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
@@ -128,6 +141,18 @@ def donaldson_moment(
     coefficient, classes at r = delta-4 through the three-term bracket;
     other classes bound no stratum and contribute nothing.
     """
+    span = _span(X, lam)
+    return span.expand(_donaldson_moment(span, X, w, lam, delta, m))
+
+
+def _donaldson_moment(
+    span: Span,
+    X: FourManifoldData,
+    w: CohomologyClass,
+    lam: CohomologyClass,
+    delta: int,
+    m: int,
+) -> TruncatedPolynomial:
     if delta < 0 or m < 0 or 2 * m > delta:
         raise HypothesisViolated("need 0 <= 2m <= delta")
     Q = X.form
@@ -135,7 +160,7 @@ def donaldson_moment(
         raise HypothesisViolated("w - lam is not characteristic")
     n = delta - 2 * m
     if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(Q.rank, n)
+        return polyring.zero(span.nvars, n)
     info = r_and_i(X, lam, X.basic_classes)
     if delta != info.r_min + 4:
         raise HypothesisViolated(
@@ -148,7 +173,7 @@ def donaldson_moment(
     prefactor = _moment_prefactor(X, w, lam, delta, m)
     w2 = square(Q, w)
     quarter = (X.chi + X.sigma) // 4
-    out = polyring.zero(Q.rank, n)
+    out = polyring.zero(span.nvars, n)
     for s, r_s in zip(X.basic_classes, info.per_class):
         if s.sw == 0 or r_s not in (delta, delta - 4):
             continue
@@ -162,14 +187,16 @@ def donaldson_moment(
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
         if r_s == delta:
             P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
-            out = out + (scale * P_top) * linear_form(s.c1 - lam, Q, n) ** n
+            out = out + (scale * P_top) * span.linear(s.c1 - lam, n) ** n
         else:
             jac = JacobiParams(a, b, d)
-            out = out + scale * level_one_bracket(X, s.c1 - lam, lam, n, m, 0, jac)
+            bracket = level_one_bracket(X, span, s.c1 - lam, lam, n, m, 0, jac)
+            out = out + scale * bracket
     return prefactor * out
 
 
 def _moment_top_level(
+    span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
     lam: CohomologyClass,
@@ -181,22 +208,22 @@ def _moment_top_level(
     2^(2-c) (-1)^(m+1) sum_s (-1)^((w^2+c1.w)/2) SW(s) <c1-lam, h>^(delta-2m),
     valid for simple-type data with lam orthogonal to the support.
     """
-    Q = X.form
     n = delta - 2 * m
     if n < 0:
         raise HypothesisViolated("need 0 <= 2m <= delta")
     if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(Q.rank, n)
+        return polyring.zero(span.nvars, n)
     if not X.is_simple_type():
         raise HypothesisViolated("top-level moment formula needs simple type")
     c = c_of_X(X)
-    out = polyring.zero(Q.rank, n)
+    out = polyring.zero(span.nvars, n)
     for s, signed_sw in _signed_support(X, w):
-        out = out + signed_sw * linear_form(s.c1 - lam, Q, n) ** n
+        out = out + signed_sw * span.linear(s.c1 - lam, n) ** n
     return (_sign_pow(m + 1) * _two_pow(2 - c)) * out
 
 
 def _series_moment(
+    span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
     lam: CohomologyClass,
@@ -207,13 +234,13 @@ def _series_moment(
     """Moment dispatch for series assembly over the computable range."""
     n = delta - 2 * m
     if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(X.form.rank, n)
+        return polyring.zero(span.nvars, n)
     if delta < r_min:
-        return polyring.zero(X.form.rank, n)
+        return polyring.zero(span.nvars, n)
     if delta == r_min:
-        return _moment_top_level(X, w, lam, delta, m)
+        return _moment_top_level(span, X, w, lam, delta, m)
     if delta == r_min + 4:
-        return donaldson_moment(X, w, lam, delta, m)
+        return _donaldson_moment(span, X, w, lam, delta, m)
     raise BoundTooHigh(
         f"moment at delta = {delta} needs level-{(delta - r_min + 3) // 4} data; "
         "only levels zero and one are computable"
@@ -231,6 +258,17 @@ def assemble_donaldson_series(
     Raises BoundTooHigh when bound exceeds c(X)+1: those coefficients need
     strata beyond level one and a silent zero would be unjustified.
     """
+    span = _span(X, lam)
+    return span.expand(_assemble_donaldson_series(span, X, w, lam, bound))
+
+
+def _assemble_donaldson_series(
+    span: Span,
+    X: FourManifoldData,
+    w: CohomologyClass,
+    lam: CohomologyClass,
+    bound: int,
+) -> TruncatedPolynomial:
     c = c_of_X(X)
     if bound > c + 1:
         raise BoundTooHigh(
@@ -239,12 +277,12 @@ def assemble_donaldson_series(
     if bound < 0:
         raise InputError("bound must be non-negative")
     info = r_and_i(X, lam, X.basic_classes)
-    out = polyring.zero(X.form.rank, bound)
+    out = polyring.zero(span.nvars, bound)
     for e in range(bound + 1):
         inv_fact = Fraction(1, math.factorial(e))
-        plain = _series_moment(X, w, lam, e, 0, info.r_min)
+        plain = _series_moment(span, X, w, lam, e, 0, info.r_min)
         out = out + inv_fact * plain.truncate(bound)
-        pointed = _series_moment(X, w, lam, e + 2, 1, info.r_min)
+        pointed = _series_moment(span, X, w, lam, e + 2, 1, info.r_min)
         out = out + (inv_fact / 2) * pointed.truncate(bound)
     return out
 
@@ -257,13 +295,25 @@ def _render_part(p: TruncatedPolynomial) -> str:
 
 @dataclass(frozen=True)
 class DegreeRow:
+    """Degree e of both series, kept in the span's reduced ring; the h-basis
+    forms are expanded when first read, once for an equal row."""
+
     degree: int
-    donaldson: TruncatedPolynomial
-    reference: TruncatedPolynomial
+    span: Span
+    lhs: TruncatedPolynomial
+    rhs: TruncatedPolynomial
 
     @property
     def equal(self) -> bool:
-        return self.donaldson == self.reference
+        return self.lhs == self.rhs
+
+    @cached_property
+    def donaldson(self) -> TruncatedPolynomial:
+        return self.span.expand(self.lhs)
+
+    @cached_property
+    def reference(self) -> TruncatedPolynomial:
+        return self.donaldson if self.equal else self.span.expand(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -294,7 +344,7 @@ class WittenReport:
     def congruence_low(self) -> bool:
         """Both series vanish in every degree below c-2."""
         return all(
-            row.donaldson.is_zero() and row.reference.is_zero()
+            row.lhs.is_zero() and row.rhs.is_zero()
             for row in self.table
             if row.degree < self.c - 2
         )
@@ -396,6 +446,8 @@ def verify_witten(
     Checks the hypotheses by name, assembles the invariant series through
     degree c+1, compares it with 2^(2-c) e^(Q/2) times the monopole series,
     and runs the two named coefficient identities at degrees c-2 and c.
+    Everything is computed and compared in one Span of the support and lam;
+    the rows expand to the h-basis only when rendered.
     """
     require_odd_b_plus(X)
     if attributes:
@@ -423,12 +475,13 @@ def verify_witten(
         raise HypothesisViolated(f"c(X) = {c} < 2 is outside the verified range")
 
     bound = c + 1
-    lhs = assemble_donaldson_series(X, w, lam, bound)
-    sw = sw_series(X, w, bound)
-    qf = quadratic_form(Q, bound)
+    span = _span(X, lam)
+    lhs = _assemble_donaldson_series(span, X, w, lam, bound)
+    sw = _sw_series(span, X, w, bound)
+    qf = span.quadratic(bound)
     rhs = _two_pow(2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(
-        DegreeRow(e, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
+        DegreeRow(e, span, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
         for e in range(bound + 1)
     )
     # Degree d of sw is sum_s eps_s SW(s) <c1(s),h>^d / d!: the power sums
@@ -442,9 +495,9 @@ def verify_witten(
         )
         for d in range(bound + 1)
     )
-    point_lhs = donaldson_moment(X, w, lam, c, 1)
+    point_lhs = _donaldson_moment(span, X, w, lam, c, 1)
     point_rhs = (_two_pow(3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
-    top_lhs = donaldson_moment(X, w, lam, c, 0)
+    top_lhs = _donaldson_moment(span, X, w, lam, c, 0)
     top_rhs = (_two_pow(2 - c) * math.factorial(c)) * (
         sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
     )
@@ -469,7 +522,8 @@ def sign_change_check(
     bound: Optional[int] = None,
 ) -> bool:
     """Verify the sign-change law between the two assembled series:
-    the w' series equals (-1)^((w'-w)^2/4) times the w series."""
+    the w' series equals (-1)^((w'-w)^2/4) times the w series.  Compared
+    in the reduced ring of the support and lam, which is exact."""
     diff = w_prime - w
     if any(coord % 2 != 0 for coord in diff.coords):
         raise NotCongruent("w' and w differ by an odd class")
@@ -477,6 +531,7 @@ def sign_change_check(
     factor = _sign_pow(square(X.form, half_diff))
     if bound is None:
         bound = c_of_X(X) + 1
-    lhs = assemble_donaldson_series(X, w_prime, lam, bound)
-    rhs = factor * assemble_donaldson_series(X, w, lam, bound)
+    span = _span(X, lam)
+    lhs = _assemble_donaldson_series(span, X, w_prime, lam, bound)
+    rhs = factor * _assemble_donaldson_series(span, X, w, lam, bound)
     return lhs == rhs

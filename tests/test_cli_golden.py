@@ -1,0 +1,57 @@
+"""Exit code and stdout digest of CLI commands whose output the other
+golden data never reaches: a verify run with unequal rows (every degree
+row expanded and rendered, the degree-4 rhs has 17,240 terms) and the
+public moment command on E(3) and E(5).
+
+Run this file as a script to print the lines of `golden/cli_golden.txt`.
+"""
+
+import hashlib
+import io
+import json
+from importlib import resources
+from pathlib import Path
+
+from monolink.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_golden.txt"
+
+MOMENT_ARGVS = (
+    ("moment", "e3", "--delta", "3", "--m", "0"),
+    ("moment", "e3", "--delta", "3", "--m", "1"),
+    ("moment", "e5", "--delta", "5", "--m", "0"),
+)
+
+
+def broken_e3(directory: Path) -> Path:
+    """E(3) with the charge-conjugation sign of one basic class broken."""
+    text = resources.files("monolink").joinpath("fixtures/e3.json").read_text()
+    doc = json.loads(text)
+    doc["basic_classes"][1]["sw"] = 1
+    path = directory / "broken_e3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def golden_lines(directory: Path) -> list[str]:
+    cases = [("verify broken_e3", ("verify", str(broken_e3(directory))))]
+    cases += [(" ".join(argv), argv) for argv in MOMENT_ARGVS]
+    lines = []
+    for label, argv in cases:
+        buf = io.StringIO()
+        code = main(list(argv), out=buf)
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        lines.append(f"{label}\texit={code}\tsha256={digest}")
+    return lines
+
+
+def test_cli_golden(tmp_path):
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert golden_lines(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n".join(golden_lines(Path(tmp))))

@@ -220,3 +220,25 @@ def test_sign_change_odd_square(e3):
 def test_sign_change_requires_congruence(k3):
     with pytest.raises(NotCongruent):
         sign_change_check(k3.manifold, k3.w, k3.w + _basis(0, 22), k3.lam)
+
+
+def test_verify_products_stay_in_the_span(monkeypatch, e3, e5):
+    # verify_witten computes in the span of the support and lam (k = 2, so
+    # x1, x2, u, v): a product in the full 34- or 14-variable ring is a
+    # fallback to the slow route.
+    from monolink.polyring import TruncatedPolynomial
+
+    seen = []
+    original = TruncatedPolynomial.__mul__
+
+    def mul(self, other):
+        if isinstance(other, TruncatedPolynomial):
+            seen.append(self.nvars)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedPolynomial, "__mul__", mul)
+    for fx in (e3, e5):
+        seen.clear()
+        report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
+        assert report.passed
+        assert seen and max(seen) <= 4, (fx.manifold.name, max(seen))
