@@ -50,9 +50,12 @@ from .pairings import (
 )
 from .witten import donaldson_moment, verify_witten
 
-__all__ = ["Fixture", "load_fixture", "catalog_names", "load_catalog_fixture", "main"]
+__all__ = ["Fixture", "load_fixture", "load_catalog_fixture", "main"]
 
 CATALOG = ("k3", "e3", "e5")
+
+# The Pochhammer reflection sweep's box: r in [-10, 10], ell in [0, 10].
+POCH_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,6 @@ def load_fixture(path: str | Path) -> Fixture:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     return parse_fixture(doc, where=str(p))
-
-
-def catalog_names() -> tuple[str, ...]:
-    return CATALOG
 
 
 def load_catalog_fixture(name: str) -> Fixture:
@@ -305,11 +304,7 @@ def cmd_pairing(
 
 
 def cmd_fuzz_identities(
-    out,
-    a_range: tuple[int, int] = (-6, 10),
-    mn_bound: int = 6,
-    d_max: int = 8,
-    poch_bound: int = 10,
+    out, a_range: tuple[int, int], mn_bound: int, d_max: int
 ) -> int:
     checker = _Checker(out)
 
@@ -320,8 +315,8 @@ def cmd_fuzz_identities(
 
     bad = sum(
         1
-        for r in range(-poch_bound, poch_bound + 1)
-        for ell in range(poch_bound + 1)
+        for r in range(-POCH_BOUND, POCH_BOUND + 1)
+        for ell in range(POCH_BOUND + 1)
         if pochhammer(r, ell) != (-1) ** ell * pochhammer(1 - r - ell, ell)
     )
     checker.record("identity.pochhammer_reflection", bad == 0, f"mismatches={bad}")

@@ -40,7 +40,14 @@ from .manifold import (
     orientation_sign,
 )
 from . import polyring
-from .polyring import Span, TruncatedPolynomial, constant, linear_form, quadratic_form
+from .polyring import (
+    Span,
+    TruncatedPolynomial,
+    _linear,
+    constant,
+    linear_form,
+    quadratic_form,
+)
 
 __all__ = [
     "SegreInput",
@@ -439,12 +446,7 @@ def _restricted_linear_form(
 ) -> TruncatedPolynomial:
     """<beta, h> for h ranging over the un-blown lattice only."""
     row = blown_form.apply(cls_on_blowup)[:base_rank]
-    terms = {}
-    for i, c in enumerate(row):
-        if c:
-            expo = tuple(1 if j == i else 0 for j in range(base_rank))
-            terms[expo] = Fraction(c)
-    return TruncatedPolynomial(base_rank, bound, terms)
+    return _linear(enumerate(row), base_rank, bound)
 
 
 def blow_up_pairing_polarized(inp: PairingInput, k: int) -> PairingValue:

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _add
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from .lattice import CohomologyClass, IntersectionForm, pair
@@ -266,9 +266,33 @@ def constant(value: Scalar, nvars: int, bound: int) -> TruncatedPolynomial:
     return TruncatedPolynomial(nvars, bound, {(0,) * nvars: Fraction(value)})
 
 
+def _linear(
+    coeffs: Iterable[tuple[int, Scalar]], nvars: int, bound: int
+) -> TruncatedPolynomial:
+    """sum_i c_i x_i over the (i, c_i) pairs given."""
+    return TruncatedPolynomial(
+        nvars,
+        bound,
+        {tuple(int(j == i) for j in range(nvars)): c for i, c in coeffs if c},
+    )
+
+
+def _quadratic(matrix: Sequence[Sequence[Scalar]], bound: int) -> TruncatedPolynomial:
+    """x^T M x for a symmetric matrix M."""
+    n = len(matrix)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            if matrix[i][j]:
+                expo = [0] * n
+                expo[i] += 1
+                expo[j] += 1
+                terms[tuple(expo)] = matrix[i][j] if i == j else 2 * matrix[i][j]
+    return TruncatedPolynomial(n, bound, terms)
+
+
 def variable(i: int, nvars: int, bound: int) -> TruncatedPolynomial:
-    expo = tuple(1 if j == i else 0 for j in range(nvars))
-    return TruncatedPolynomial(nvars, bound, {expo: Fraction(1)})
+    return _linear([(i, 1)], nvars, bound)
 
 
 def linear_form(
@@ -276,32 +300,12 @@ def linear_form(
 ) -> TruncatedPolynomial:
     """Degree-one polynomial <K, h> = sum_i (K^T gram)_i h_i."""
     Q._require_rank(K)
-    row = Q.apply(K)
-    n = Q.rank
-    terms = {}
-    for i, c in enumerate(row):
-        if c:
-            expo = tuple(1 if j == i else 0 for j in range(n))
-            terms[expo] = Fraction(c)
-    return TruncatedPolynomial(n, bound, terms)
+    return _linear(enumerate(Q.apply(K)), Q.rank, bound)
 
 
 def quadratic_form(Q: IntersectionForm, bound: int) -> TruncatedPolynomial:
     """Degree-two polynomial Q(h, h) = h^T gram h."""
-    n = Q.rank
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            g = Q.gram[i][j]
-            if not g:
-                continue
-            expo = [0] * n
-            expo[i] += 1
-            expo[j] += 1
-            coeff = Fraction(g if i == j else 2 * g)
-            key = tuple(expo)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-    return TruncatedPolynomial(n, bound, terms)
+    return _quadratic(Q.gram, bound)
 
 
 class Span:
@@ -350,15 +354,7 @@ class Span:
         if self.full_rank:
             gram = [[Fraction(pair(form, a, b)) for b in self.basis]
                     for a in self.basis]
-            inv = _inverse(gram)
-            self._quadratic_terms = {}
-            for i in range(k):
-                for j in range(i, k):
-                    expo = [0] * k
-                    expo[i] += 1
-                    expo[j] += 1
-                    c = inv[i][j] if i == j else 2 * inv[i][j]
-                    self._quadratic_terms[tuple(expo)] = c
+            self._quadratic_terms = _quadratic(_inverse(gram), 2).terms
         else:
             self._quadratic_terms = {(0,) * k + (1, 1): Fraction(1)}
         self._h_linear = [linear_form(v, form, 1) for v in self.basis]
@@ -383,13 +379,7 @@ class Span:
         row, combo = self._reduce(cls)
         if any(row):
             raise InputError(f"class {cls.coords} is not in the span")
-        terms = {}
-        for i, c in enumerate(combo):
-            if c:
-                expo = [0] * self.nvars
-                expo[i] = 1
-                terms[tuple(expo)] = c
-        return TruncatedPolynomial(self.nvars, bound, terms)
+        return _linear(enumerate(combo), self.nvars, bound)
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:
         """Q(h): u*v while k < rank, x^T G^-1 x when k = rank."""

@@ -26,6 +26,7 @@ from .errors import (
 from .lattice import CohomologyClass, is_characteristic, pair, square
 from .manifold import (
     FourManifoldData,
+    RAndIReport,
     c_of_X,
     degree_parity_ok,
     dim_sw,
@@ -110,10 +111,9 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
 
 
 def _moment_prefactor(
-    X: FourManifoldData, w: CohomologyClass, lam: CohomologyClass, delta: int, m: int
+    X: FourManifoldData, w: CohomologyClass, info: RAndIReport, delta: int, m: int
 ) -> Fraction:
     """2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2), validated integral."""
-    info = r_and_i(X, lam, X.basic_classes)
     if (info.i_value - delta) % 4 != 0:
         raise NonIntegralExponent(
             f"i(lam) - delta = {info.i_value - delta} not divisible by 4"
@@ -170,7 +170,7 @@ def _donaldson_moment(
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
         )
-    prefactor = _moment_prefactor(X, w, lam, delta, m)
+    prefactor = _moment_prefactor(X, w, info, delta, m)
     w2 = square(Q, w)
     quarter = (X.chi + X.sigma) // 4
     out = polyring.zero(span.nvars, n)
@@ -206,13 +206,10 @@ def _moment_top_level(
     """Invariant at the lowest contributing degree delta = r(lam):
 
     2^(2-c) (-1)^(m+1) sum_s (-1)^((w^2+c1.w)/2) SW(s) <c1-lam, h>^(delta-2m),
-    valid for simple-type data with lam orthogonal to the support.
+    valid for simple-type data with lam orthogonal to the support.  Called
+    by `_moments` only, which has checked the degree rule and 2m <= delta.
     """
     n = delta - 2 * m
-    if n < 0:
-        raise HypothesisViolated("need 0 <= 2m <= delta")
-    if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(span.nvars, n)
     if not X.is_simple_type():
         raise HypothesisViolated("top-level moment formula needs simple type")
     c = c_of_X(X)
@@ -222,29 +219,55 @@ def _moment_top_level(
     return (_sign_pow(m + 1) * _two_pow(2 - c)) * out
 
 
-def _series_moment(
+def _moments(
     span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
     lam: CohomologyClass,
-    delta: int,
-    m: int,
-    r_min: int,
+    bound: int,
+) -> dict[tuple[int, int], TruncatedPolynomial]:
+    """{(delta, m): D(h^(delta-2m) x^m)} for D(h^e) and D(h^e x), e <= bound.
+
+    Only the moments the degree rule allows at or above r(lam) are entries;
+    every other one is zero.  delta = r(lam) takes the level-zero formula,
+    delta = r(lam)+4 the level-one one, and any higher delta raises
+    BoundTooHigh.  Visits D(h^e) before D(h^e x) for e = 0..bound, so the
+    first error raised does not depend on how the table is read.
+    """
+    c = c_of_X(X)
+    if bound > c + 1:
+        raise BoundTooHigh(
+            f"bound {bound} exceeds c(X)+1 = {c + 1}, the level-one range"
+        )
+    if bound < 0:
+        raise InputError("bound must be non-negative")
+    r_min = r_and_i(X, lam, X.basic_classes).r_min
+    table = {}
+    for e in range(bound + 1):
+        for delta, m in ((e, 0), (e + 2, 1)):
+            if delta < r_min or not degree_parity_ok(X, w, 2 * delta):
+                continue
+            if delta == r_min:
+                table[delta, m] = _moment_top_level(span, X, w, lam, delta, m)
+            elif delta == r_min + 4:
+                table[delta, m] = _donaldson_moment(span, X, w, lam, delta, m)
+            else:
+                raise BoundTooHigh(
+                    f"moment at delta = {delta} needs level-{(delta - r_min + 3) // 4} "
+                    "data; only levels zero and one are computable"
+                )
+    return table
+
+
+def _assemble_donaldson_series(
+    span: Span, moments: Mapping[tuple[int, int], TruncatedPolynomial], bound: int
 ) -> TruncatedPolynomial:
-    """Moment dispatch for series assembly over the computable range."""
-    n = delta - 2 * m
-    if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(span.nvars, n)
-    if delta < r_min:
-        return polyring.zero(span.nvars, n)
-    if delta == r_min:
-        return _moment_top_level(span, X, w, lam, delta, m)
-    if delta == r_min + 4:
-        return _donaldson_moment(span, X, w, lam, delta, m)
-    raise BoundTooHigh(
-        f"moment at delta = {delta} needs level-{(delta - r_min + 3) // 4} data; "
-        "only levels zero and one are computable"
-    )
+    """sum over the table of D(h^(delta-2m) x^m) / ((delta-2m)! 2^m)."""
+    out = polyring.zero(span.nvars, bound)
+    for (delta, m), moment in moments.items():
+        scale = Fraction(1, math.factorial(delta - 2 * m) * 2**m)
+        out = out + scale * moment.truncate(bound)
+    return out
 
 
 def assemble_donaldson_series(
@@ -259,32 +282,8 @@ def assemble_donaldson_series(
     strata beyond level one and a silent zero would be unjustified.
     """
     span = _span(X, lam)
-    return span.expand(_assemble_donaldson_series(span, X, w, lam, bound))
-
-
-def _assemble_donaldson_series(
-    span: Span,
-    X: FourManifoldData,
-    w: CohomologyClass,
-    lam: CohomologyClass,
-    bound: int,
-) -> TruncatedPolynomial:
-    c = c_of_X(X)
-    if bound > c + 1:
-        raise BoundTooHigh(
-            f"bound {bound} exceeds c(X)+1 = {c + 1}, the level-one range"
-        )
-    if bound < 0:
-        raise InputError("bound must be non-negative")
-    info = r_and_i(X, lam, X.basic_classes)
-    out = polyring.zero(span.nvars, bound)
-    for e in range(bound + 1):
-        inv_fact = Fraction(1, math.factorial(e))
-        plain = _series_moment(span, X, w, lam, e, 0, info.r_min)
-        out = out + inv_fact * plain.truncate(bound)
-        pointed = _series_moment(span, X, w, lam, e + 2, 1, info.r_min)
-        out = out + (inv_fact / 2) * pointed.truncate(bound)
-    return out
+    moments = _moments(span, X, w, lam, bound)
+    return span.expand(_assemble_donaldson_series(span, moments, bound))
 
 
 def _render_part(p: TruncatedPolynomial) -> str:
@@ -476,7 +475,8 @@ def verify_witten(
 
     bound = c + 1
     span = _span(X, lam)
-    lhs = _assemble_donaldson_series(span, X, w, lam, bound)
+    moments = _moments(span, X, w, lam, bound)
+    lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, X, w, bound)
     qf = span.quadratic(bound)
     rhs = _two_pow(2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
@@ -495,9 +495,12 @@ def verify_witten(
         )
         for d in range(bound + 1)
     )
-    point_lhs = _donaldson_moment(span, X, w, lam, c, 1)
+    # The hypotheses above force r(lam, c1(s)) = c-4 on the support and
+    # i(lam) = c+4, so both identities read level-one table entries.
+    zero = polyring.zero(span.nvars, 0)
+    point_lhs = moments.get((c, 1), zero)
     point_rhs = (_two_pow(3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
-    top_lhs = _donaldson_moment(span, X, w, lam, c, 0)
+    top_lhs = moments.get((c, 0), zero)
     top_rhs = (_two_pow(2 - c) * math.factorial(c)) * (
         sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
     )
@@ -519,7 +522,6 @@ def sign_change_check(
     w: CohomologyClass,
     w_prime: CohomologyClass,
     lam: CohomologyClass,
-    bound: Optional[int] = None,
 ) -> bool:
     """Verify the sign-change law between the two assembled series:
     the w' series equals (-1)^((w'-w)^2/4) times the w series.  Compared
@@ -529,9 +531,10 @@ def sign_change_check(
         raise NotCongruent("w' and w differ by an odd class")
     half_diff = CohomologyClass(coord // 2 for coord in diff.coords)
     factor = _sign_pow(square(X.form, half_diff))
-    if bound is None:
-        bound = c_of_X(X) + 1
+    bound = c_of_X(X) + 1
     span = _span(X, lam)
-    lhs = _assemble_donaldson_series(span, X, w_prime, lam, bound)
-    rhs = factor * _assemble_donaldson_series(span, X, w, lam, bound)
-    return lhs == rhs
+    lhs, rhs = (
+        _assemble_donaldson_series(span, _moments(span, X, v, lam, bound), bound)
+        for v in (w_prime, w)
+    )
+    return lhs == factor * rhs

@@ -1,7 +1,8 @@
 """Exit code and stdout digest of CLI commands whose output the other
 golden data never reaches: a verify run with unequal rows (every degree
 row expanded and rendered, the degree-4 rhs has 17,240 terms) and the
-public moment command on E(3) and E(5).
+public moment command on E(3) and E(5).  Also the exit code and stdout of
+every command in the benchmark's `perfbench/reference.json`, read only.
 
 Run this file as a script to print the lines of `golden/cli_golden.txt`.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 from monolink.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_golden.txt"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 MOMENT_ARGVS = (
     ("moment", "e3", "--delta", "3", "--m", "0"),
@@ -48,6 +50,17 @@ def golden_lines(directory: Path) -> list[str]:
 def test_cli_golden(tmp_path):
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert golden_lines(tmp_path) == expected
+
+
+def test_cli_matches_benchmark_reference():
+    # Keys are the argv joined by single spaces (perfbench/capture_reference.py).
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert reference
+    for key, expected in reference.items():
+        buf = io.StringIO()
+        code = main(key.split(" "), out=buf)
+        assert code == expected["exit"], key
+        assert buf.getvalue() == expected["stdout"], key
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from monolink.errors import BoundTooHigh, HypothesisViolated, NotCongruent
+from monolink import witten
+from monolink.errors import BoundTooHigh, EmptySupport, HypothesisViolated, NotCongruent
 from monolink.lattice import CohomologyClass, square
-from monolink.manifold import c_of_X
+from monolink.manifold import c_of_X, r_and_i
 from monolink.polyring import linear_form, quadratic_form
 from monolink.witten import (
     assemble_donaldson_series,
@@ -121,6 +122,26 @@ def test_donaldson_moment_mixed_levels():
     assert got == q - lf * lf
     point = donaldson_moment(X, w, lam, 2, 1)
     assert point.render() == "3"
+
+
+def test_donaldson_moment_empty_support(k3):
+    # The degree rule is checked before r(lam), which needs a supported class.
+    X = k3.manifold
+    stripped = type(X)(X.name, X.chi, X.sigma, X.form, ())
+    assert donaldson_moment(stripped, k3.w, k3.lam, 4, 0).is_zero()
+    with pytest.raises(EmptySupport):
+        donaldson_moment(stripped, k3.w, k3.lam, 2, 0)
+
+
+def test_catalog_identities_are_level_one_moments(k3, e3, e5):
+    # verify_witten's hypotheses put every basic class at r = c-4 and lam at
+    # i = c+4, so the degree c-2 and c identities are the moments at delta = c.
+    for fx in (k3, e3, e5):
+        X = fx.manifold
+        c = c_of_X(X)
+        info = r_and_i(X, fx.lam, X.basic_classes)
+        assert info.r_min + 4 == c
+        assert info.i_value == c + 4
 
 
 def test_moment_sum_order_independent(e3):
@@ -242,3 +263,28 @@ def test_verify_products_stay_in_the_span(monkeypatch, e3, e5):
         report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
         assert report.passed
         assert seen and max(seen) <= 4, (fx.manifold.name, max(seen))
+
+
+def test_verify_computes_each_moment_once(monkeypatch, e3, e5):
+    # The assembly and both coefficient identities read one moment table:
+    # the two level-one moments at delta = c, each with one r(lam), plus the
+    # table's own r(lam).
+    calls = {}
+
+    def counting(name):
+        fn = getattr(witten, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("_donaldson_moment", "r_and_i"):
+        monkeypatch.setattr(witten, name, counting(name))
+    for fx in (e3, e5):
+        calls.update(_donaldson_moment=0, r_and_i=0)
+        report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
+        assert report.passed
+        assert calls["_donaldson_moment"] == 2, (fx.manifold.name, calls)
+        assert calls["r_and_i"] <= 3, (fx.manifold.name, calls)
