@@ -96,10 +96,10 @@ def _signature_counts(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 zero += len(rows)
                 break
             r, c = hit
-            for k in range(n):
-                m[r][k] += m[c][k]
-            for k in range(n):
-                m[k][r] += m[k][c]
+            m[r] = [a + b if b else a for a, b in zip(m[r], m[c])]
+            for row in m:
+                if row[c]:
+                    row[r] += row[c]
             pivot = r
         d = m[pivot][pivot]
         if d > 0:
@@ -110,10 +110,10 @@ def _signature_counts(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
         for r in rows:
             if m[r][pivot] != 0:
                 f = m[r][pivot] / d
-                for k in range(n):
-                    m[r][k] -= f * m[pivot][k]
-                for k in range(n):
-                    m[k][r] -= f * m[k][pivot]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[pivot])]
+                for row in m:
+                    if row[pivot]:
+                        row[r] -= f * row[pivot]
     return pos, neg, zero
 
 
@@ -144,6 +144,9 @@ class IntersectionForm:
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "b_plus", pos)
         object.__setattr__(self, "b_minus", neg)
+        # Each row's nonzero (j, g_ij), which pairing walks; not a compared field.
+        nonzeros = tuple(tuple((j, g) for j, g in enumerate(r) if g) for r in rows)
+        object.__setattr__(self, "_rows", nonzeros)
 
     @property
     def rank(self) -> int:
@@ -156,10 +159,12 @@ class IntersectionForm:
     def apply(self, v: CohomologyClass) -> tuple[int, ...]:
         """Row vector v^T . gram."""
         self._require_rank(v)
-        return tuple(
-            sum(v.coords[i] * self.gram[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        out = [0] * self.rank
+        for vi, row in zip(v.coords, self._rows):
+            if vi:
+                for j, g in row:
+                    out[j] += vi * g
+        return tuple(out)
 
     def _require_rank(self, v: CohomologyClass) -> None:
         if v.rank != self.rank:
@@ -173,10 +178,10 @@ def pair(form: IntersectionForm, a: CohomologyClass, b: CohomologyClass) -> int:
     form._require_rank(a)
     form._require_rank(b)
     total = 0
-    for i, ai in enumerate(a.coords):
+    for ai, row in zip(a.coords, form._rows):
         if ai:
-            row = form.gram[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coords) if bj)
+            for j, g in row:
+                total += ai * g * b.coords[j]
     return total
 
 

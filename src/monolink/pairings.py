@@ -266,14 +266,15 @@ def _jacobi_pair(inp: PairingInput) -> tuple[int, int, int]:
 def level_one_bracket(
     X: FourManifoldData,
     span: Span,
-    beta: CohomologyClass,
+    c1: CohomologyClass,
     t: CohomologyClass,
     n: int,
     m: int,
     k: int,
     jac: JacobiParams,
 ) -> TruncatedPolynomial:
-    """The three-term level-one bracket, homogeneous of degree n - k:
+    """The three-term level-one bracket with beta = c1 - t, homogeneous of
+    degree n - k:
 
         (a0 P + 2(beta.t) P1) <beta,h>^(n-k) + 2(n-k) P1 <beta,h>^(n-k-1) <t,h>
           + 4 C(n-k,2) P <beta,h>^(n-k-2) Q(h),
@@ -282,7 +283,7 @@ def level_one_bracket(
     values at `jac` = (a, b, d) and (a-1, b+1, d).  Ratio-free: the
     obstruction and lattice cross terms carry P1, never P1/P.  Terms with a
     negative power of <beta,h> are dropped.  Computed in `span`, which must
-    contain beta and t.
+    contain c1 and t; <beta,h> is <c1,h> - <t,h>.
     """
     Q = X.form
     deg = n - k
@@ -290,7 +291,8 @@ def level_one_bracket(
         return polyring.zero(span.nvars, 0)
     P = jacobi_at_zero(jac)
     P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
-    bf = span.linear(beta, deg)
+    beta = c1 - t
+    bf = span.linear(c1, deg) - span.linear(t, deg)
     a0 = 3 * square(Q, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
     out = (a0 * P + 2 * pair(Q, beta, t) * P1) * bf**deg
     if deg >= 1:
@@ -308,11 +310,9 @@ def _bracket_closed(
     times (-1)^(m+1+d) 2^(d-delta) and the moment (or the invariant)."""
     a, b, d = _jacobi_pair(inp)
     n = inp.delta - 2 * inp.m
-    beta, t = inp.s.c1 - inp.t_prime.c1, inp.t_prime.c1
-    span = Span(inp.X.form, (beta, t))
-    bracket = level_one_bracket(
-        inp.X, span, beta, t, n, inp.m, k, JacobiParams(a, b, d)
-    )
+    c1, t = inp.s.c1, inp.t_prime.c1
+    span = Span(inp.X.form, (c1, t))
+    bracket = level_one_bracket(inp.X, span, c1, t, n, inp.m, k, JacobiParams(a, b, d))
     sign = -1 if (inp.m + 1 + d) % 2 else 1
     mom = inp.s.sw if use_sw else inp.moment()
     scale = Fraction(sign * mom) * Fraction(2**d, 2**inp.delta)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -292,6 +293,8 @@ def _quadratic(matrix: Sequence[Sequence[Scalar]], bound: int) -> TruncatedPolyn
 
 
 def variable(i: int, nvars: int, bound: int) -> TruncatedPolynomial:
+    if not 0 <= i < nvars:
+        raise InputError(f"variable index {i} outside 0..{nvars - 1}")
     return _linear([(i, 1)], nvars, bound)
 
 
@@ -334,20 +337,23 @@ class Span:
     ) -> None:
         self.form = form
         self.basis: list[CohomologyClass] = []
-        # Rows in insertion order, each reduced against the earlier ones
-        # and scaled to 1 at its pivot, with its combination of the basis.
-        self._echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
+        # Rows in insertion order, each reduced against the earlier ones, scaled
+        # to 1 at its pivot and kept sparse, with its combination of the basis.
+        self._echelon: list[tuple[int, list, list]] = []
+        # cls.coords -> its coefficients in v_1..v_k, for each class reduced.
+        self._combos: dict[tuple[int, ...], list] = {}
         for cls in classes:
             row, combo = self._reduce(cls)
             pivot = next((j for j, c in enumerate(row) if c), None)
-            if pivot is None:
-                continue
-            # row = cls - sum_i combo_i v_i, and cls becomes the next v_i.
-            scale = 1 / row[pivot]
-            self._echelon.append(
-                (pivot, [c * scale for c in row], [-c * scale for c in combo] + [scale])
-            )
-            self.basis.append(cls)
+            if pivot is not None:
+                # row = cls - sum_i combo_i v_i, and cls becomes the next v_i.
+                scale = 1 / Fraction(row[pivot])
+                erow = [(j, c * scale) for j, c in enumerate(row) if c]
+                ecombo = [-c * scale for c in combo] + [scale]
+                self._echelon.append((pivot, erow, ecombo))
+                combo = [0] * len(combo) + [1]
+                self.basis.append(cls)
+            self._combos[cls.coords] = combo
         k = self.k = len(self.basis)
         self.full_rank = k == form.rank
         self.nvars = k if self.full_rank else k + 2
@@ -357,28 +363,30 @@ class Span:
             self._quadratic_terms = _quadratic(_inverse(gram), 2).terms
         else:
             self._quadratic_terms = {(0,) * k + (1, 1): Fraction(1)}
-        self._h_linear = [linear_form(v, form, 1) for v in self.basis]
-        self._h_quadratic = quadratic_form(form, 2)
         self._images: dict = {}
 
-    def _reduce(self, cls: CohomologyClass) -> tuple[list[Fraction], list[Fraction]]:
+    def _reduce(self, cls: CohomologyClass) -> tuple[list, list]:
         """(remainder, c) with cls = remainder + sum_i c_i v_i."""
         self.form._require_rank(cls)
-        row = [Fraction(c) for c in cls.coords]
-        combo = [Fraction(0)] * len(self.basis)
+        row = list(cls.coords)
+        combo = [0] * len(self.basis)
         for pivot, erow, ecombo in self._echelon:
             f = row[pivot]
             if f:
-                row = [a - f * b for a, b in zip(row, erow)]
+                for j, b in erow:
+                    row[j] -= f * b
                 for i, b in enumerate(ecombo):
                     combo[i] += f * b
         return row, combo
 
     def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
         """<cls, h> in the variables x_i; cls must lie in the span."""
-        row, combo = self._reduce(cls)
-        if any(row):
-            raise InputError(f"class {cls.coords} is not in the span")
+        combo = self._combos.get(cls.coords)
+        if combo is None:
+            row, combo = self._reduce(cls)
+            if any(row):
+                raise InputError(f"class {cls.coords} is not in the span")
+            self._combos[cls.coords] = combo
         return _linear(enumerate(combo), self.nvars, bound)
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:
@@ -406,6 +414,12 @@ class Span:
         clean = {e: c for e, c in out.items() if c}
         return TruncatedPolynomial._fast(self.form.rank, p.bound, clean)
 
+    @cached_property
+    def _h_factors(self) -> tuple[list[TruncatedPolynomial], TruncatedPolynomial]:
+        """([<v_i,h> for each i], Q(h)) in the h-basis, built on the first expand."""
+        linear = [linear_form(v, self.form, 1) for v in self.basis]
+        return linear, quadratic_form(self.form, 2)
+
     def _image(self, a: tuple[int, ...], b: int) -> TruncatedPolynomial:
         """prod <v_i,h>^(a_i) Q(h)^b, with its degree as bound (memoised)."""
         img = self._images.get((a, b))
@@ -415,11 +429,11 @@ class Span:
                 img = constant(1, self.form.rank, 0)
             else:
                 if b:
-                    prev, factor = self._image(a, b - 1), self._h_quadratic
+                    prev, factor = self._image(a, b - 1), self._h_factors[1]
                 else:
                     i = max(j for j, e in enumerate(a) if e)
                     lower = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                    prev, factor = self._image(lower, 0), self._h_linear[i]
+                    prev, factor = self._image(lower, 0), self._h_factors[0][i]
                 # Both factors are exact homogeneous polynomials of degree at
                 # most deg, so raising their bound to deg drops nothing.
                 img = prev.truncate(deg) * factor.truncate(deg)

@@ -187,10 +187,11 @@ def _donaldson_moment(
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
         if r_s == delta:
             P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
-            out = out + (scale * P_top) * span.linear(s.c1 - lam, n) ** n
+            bf = span.linear(s.c1, n) - span.linear(lam, n)
+            out = out + (scale * P_top) * bf**n
         else:
             jac = JacobiParams(a, b, d)
-            bracket = level_one_bracket(X, span, s.c1 - lam, lam, n, m, 0, jac)
+            bracket = level_one_bracket(X, span, s.c1, lam, n, m, 0, jac)
             out = out + scale * bracket
     return prefactor * out
 
@@ -215,7 +216,7 @@ def _moment_top_level(
     c = c_of_X(X)
     out = polyring.zero(span.nvars, n)
     for s, signed_sw in _signed_support(X, w):
-        out = out + signed_sw * span.linear(s.c1 - lam, n) ** n
+        out = out + signed_sw * (span.linear(s.c1, n) - span.linear(lam, n)) ** n
     return (_sign_pow(m + 1) * _two_pow(2 - c)) * out
 
 

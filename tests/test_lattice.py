@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monolink.errors import DimensionMismatch, NotDivisible, SearchExhausted
 from monolink.lattice import (
@@ -14,6 +15,7 @@ from monolink.lattice import (
     orthogonal_complement,
     pair,
     square,
+    _signature_counts,
 )
 
 from conftest import hyperbolic_gram
@@ -197,3 +199,97 @@ def test_blow_up(form_h):
     assert square(blown, e) == -1
     assert pair(blown, e, CohomologyClass((1, 0, 0))) == 0
     assert (blown.b_plus, blown.b_minus) == (form_h.b_plus, form_h.b_minus + 1)
+
+
+# -- sparse pairing against the dense sum -----------------------------------
+
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3))  # about half zeros
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of up to 12 elementary column operations e_j += c e_i: few
+    keep a matrix sparse, many make it dense."""
+    if n == 1:
+        return [[draw(st.sampled_from([1, -1]))]]
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        for row in p:
+            row[j] += c * row[i]
+    return p
+
+
+def congruent(g, p):
+    """P^T G P."""
+    n = len(g)
+    return [
+        [sum(p[k][i] * g[k][l] * p[l][j] for k in range(n) for l in range(n))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def symmetric(draw, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(ENTRY)
+    return g
+
+
+@st.composite
+def sparse_and_dense_forms(draw):
+    """P^T G0 P with G0 an orthogonal sum of <d> and [[a, 1], [1, 0]] blocks
+    (nondegenerate) and P unimodular: zero diagonals, one-entry rows and
+    dense rows all occur."""
+    blocks = draw(st.lists(st.one_of(
+        st.tuples(st.just(1), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+        st.tuples(st.just(2), st.integers(-2, 2)),
+    ), min_size=1, max_size=6).filter(lambda bs: sum(b[0] for b in bs) <= 8))
+    n = sum(b[0] for b in blocks)
+    g0 = [[0] * n for _ in range(n)]
+    i = 0
+    for size, a in blocks:
+        g0[i][i] = a
+        if size == 2:
+            g0[i][i + 1] = g0[i + 1][i] = 1
+        i += size
+    return congruent(g0, draw(unimodular(n)))
+
+
+@given(st.data())
+def test_pair_square_apply_match_dense_sums(data):
+    gram = data.draw(sparse_and_dense_forms())
+    n = len(gram)
+    form = IntersectionForm(gram)
+    classes = st.one_of(st.just([0] * n), st.lists(ENTRY, min_size=n, max_size=n))
+    a, b = CohomologyClass(data.draw(classes)), CohomologyClass(data.draw(classes))
+
+    def dense(x, y):
+        return sum(x.coords[i] * gram[i][j] * y.coords[j] for i in range(n) for j in range(n))
+
+    assert pair(form, a, b) == pair(form, b, a) == dense(a, b)
+    assert square(form, a) == dense(a, a)
+    assert form.apply(a) == tuple(
+        dense(a, CohomologyClass.basis_vector(j, n)) for j in range(n)
+    )
+
+
+@given(st.data())
+def test_signature_counts_invariant_under_congruence(data):
+    # Sylvester's law of inertia, degenerate matrices included.
+    n = data.draw(st.integers(1, 8))
+    g = data.draw(symmetric(n))
+    assert _signature_counts(congruent(g, data.draw(unimodular(n)))) == _signature_counts(g)
+
+
+def test_forms_from_equal_grams_are_equal(e3):
+    gram = e3.manifold.form.gram
+    a = IntersectionForm(gram)
+    b = IntersectionForm([list(row) for row in gram])
+    assert a == b == e3.manifold.form
+    assert hash(a) == hash(b) == hash(e3.manifold.form)
+    assert a != IntersectionForm([[0, 1], [1, 0]])

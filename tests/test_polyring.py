@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from monolink.errors import DimensionMismatch, NonzeroConstantTerm
+from monolink.errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from monolink.lattice import CohomologyClass, IntersectionForm, blow_up, pair
 from monolink.polyring import (
     TruncatedPolynomial,
@@ -56,6 +56,13 @@ def test_truncation_drops_high_degrees():
 def test_mul_requires_matching_variables():
     with pytest.raises(DimensionMismatch):
         h1(nvars=2) * variable(0, 3, 4)
+
+
+def test_variable_index_out_of_range():
+    for i in (-1, 3, 5):
+        with pytest.raises(InputError, match="outside 0..2"):
+            variable(i, 3, 2)
+    assert variable(2, 3, 2).render() == "h3"
 
 
 def test_min_bound_semantics():

@@ -202,3 +202,19 @@ def test_span_rejects_what_it_cannot_express():
         span.expand(TruncatedPolynomial(3, 2, {(0, 1, 0): Fraction(1)}))
     with pytest.raises(DimensionMismatch):
         span.expand(TruncatedPolynomial(4, 2, {}))
+
+
+def test_span_linear_is_linear_and_rejects_every_time():
+    form = IntersectionForm(hyperbolic_gram(3))
+    a = CohomologyClass((1, 2, 0, 0, 0, 0))
+    b = CohomologyClass((0, 0, 1, -1, 0, 0))
+    span = Span(form, [a, b])
+    for x, y in ((a, b), (3 * a, -2 * b), (a - b, a + 2 * b), (b, b)):
+        assert span.linear(x - y, 3) == span.linear(x, 3) - span.linear(y, 3)
+        assert span.linear(x - y, 3) == span.linear(x, 3) - span.linear(y, 3)
+    outside = CohomologyClass((0, 1, 0, 0, 0, 0))
+    for _ in range(2):
+        with pytest.raises(InputError, match="not in the span"):
+            span.linear(outside, 2)
+        with pytest.raises(InputError, match="not in the span"):
+            span.linear(a + outside, 2)

@@ -288,3 +288,39 @@ def test_verify_computes_each_moment_once(monkeypatch, e3, e5):
         assert report.passed
         assert calls["_donaldson_moment"] == 2, (fx.manifold.name, calls)
         assert calls["r_and_i"] <= 3, (fx.manifold.name, calls)
+
+
+def test_verify_reduces_each_class_once_and_never_expands(monkeypatch, e3, e5):
+    # One Span serves the whole check: each class of the support and lam is
+    # row-reduced once, at construction, and every <c1(s) - lam, h> is a
+    # difference of those; a passing check never goes back to the h-basis,
+    # so the h-basis factors <v_i, h> and Q(h) are never built.
+    from monolink import polyring
+    from monolink.polyring import Span
+
+    calls = {}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("_reduce", "expand"):
+        counting(Span, name)
+    for name in ("linear_form", "quadratic_form"):
+        counting(polyring, name)
+    for fx in (e3, e5):
+        calls.update(_reduce=0, expand=0, linear_form=0, quadratic_form=0)
+        X = fx.manifold
+        report = verify_witten(X, fx.w, fx.lam, attributes=fx.attributes)
+        assert report.passed
+        classes = {s.c1.coords for s in X.support()} | {fx.lam.coords}
+        assert calls["_reduce"] <= len(classes), (X.name, calls)
+        assert calls["expand"] == calls["linear_form"] == calls["quadratic_form"] == 0, (
+            X.name,
+            calls,
+        )
