@@ -274,18 +274,17 @@ def level_one_bracket(
     jac: JacobiParams,
 ) -> TruncatedPolynomial:
     """The three-term level-one bracket with beta = c1 - t, homogeneous of
-    degree n - k:
+    degree deg = n - k:
 
-        (a0 P + 2(beta.t) P1) <beta,h>^(n-k) + 2(n-k) P1 <beta,h>^(n-k-1) <t,h>
-          + 4 C(n-k,2) P <beta,h>^(n-k-2) Q(h),
+        <beta,h>^(deg-j) (A <beta,h>^j + B <beta,h>^(j-1) <t,h> + C Q(h)),
 
+    j = min(deg, 2), A = a0 P + 2(beta.t) P1, B = 2 deg P1, C = 4 C(deg,2) P,
     a0 = 3 beta^2 + c1^2(X) + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi
     values at `jac` = (a, b, d) and (a-1, b+1, d).  Ratio-free: the
-    obstruction and lattice cross terms carry P1, never P1/P.  Terms with a
-    negative power of <beta,h> are dropped.  Computed in `span`, which must
-    contain c1 and t; <beta,h> is <c1,h> - <t,h>.
+    obstruction and lattice cross terms carry P1, never P1/P.  Factored, so
+    <beta,h> is raised to a power once; B = 0 for deg = 0 and C = 0 for
+    deg < 2.  `span` must contain c1 and t.
     """
-    Q = X.form
     deg = n - k
     if deg < 0:
         return polyring.zero(span.nvars, 0)
@@ -293,14 +292,14 @@ def level_one_bracket(
     P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
     beta = c1 - t
     bf = span.linear(c1, deg) - span.linear(t, deg)
-    a0 = 3 * square(Q, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
-    out = (a0 * P + 2 * pair(Q, beta, t) * P1) * bf**deg
+    a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
+    top = a0 * P + 2 * pair(X.form, beta, t) * P1
+    inner = constant(top, span.nvars, deg)
     if deg >= 1:
-        out = out + (2 * deg * P1) * (bf ** (deg - 1) * span.linear(t, deg))
+        inner = top * bf + (2 * deg * P1) * span.linear(t, deg)
     if deg >= 2:
-        qf = span.quadratic(deg)
-        out = out + (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * qf)
-    return out
+        inner = inner * bf + (4 * comb(deg, 2) * P) * span.quadratic(deg)
+    return bf ** (deg - min(deg, 2)) * inner
 
 
 def _bracket_closed(
@@ -316,7 +315,7 @@ def _bracket_closed(
     sign = -1 if (inp.m + 1 + d) % 2 else 1
     mom = inp.s.sw if use_sw else inp.moment()
     scale = Fraction(sign * mom) * Fraction(2**d, 2**inp.delta)
-    return span.expand((scale * bracket).truncate(max(n - k, 0)))
+    return span.expand(scale * bracket)
 
 
 def link_pairing_closed(inp: PairingInput) -> PairingValue:

@@ -28,7 +28,6 @@ from .manifold import (
     FourManifoldData,
     RAndIReport,
     c_of_X,
-    degree_parity_ok,
     dim_sw,
     r_and_i,
     require_odd_b_plus,
@@ -58,17 +57,22 @@ def _sign_pow(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _two_pow(exponent: int) -> Fraction:
-    return Fraction(2**exponent) if exponent >= 0 else Fraction(1, 2**-exponent)
+def _degree_residue(X: FourManifoldData, w2: int) -> int:
+    """delta mod 4 at which 2 delta = -2 w^2 - (3/2)(chi+sigma) (mod 8)."""
+    return (-w2 - 3 * (X.chi + X.sigma) // 4) % 4
 
 
-def _signed_support(X: FourManifoldData, w: CohomologyClass):
+def _signed_support(X: FourManifoldData, w: CohomologyClass, w2: int):
     """(s, (-1)^((w^2 + c1(s).w)/2) SW(s)) for every s with SW(s) != 0."""
-    Q = X.form
-    w2 = square(Q, w)
     for s in X.support():
-        eps = _half(w2 + pair(Q, s.c1, w), "w^2 + c1.w")
+        eps = _half(w2 + pair(X.form, s.c1, w), "w^2 + c1.w")
         yield s, _sign_pow(eps) * s.sw
+
+
+def _require_orthogonal(X: FourManifoldData, lam: CohomologyClass) -> None:
+    for s in X.support():
+        if pair(X.form, lam, s.c1) != 0:
+            raise HypothesisViolated(f"lam is not orthogonal to basic class {s.c1.coords}")
 
 
 def _span(X: FourManifoldData, *extra: CohomologyClass) -> Span:
@@ -80,7 +84,7 @@ def _sw_series(
     span: Span, X: FourManifoldData, w: CohomologyClass, bound: int
 ) -> TruncatedPolynomial:
     out = polyring.zero(span.nvars, bound)
-    for s, signed_sw in _signed_support(X, w):
+    for s, signed_sw in _signed_support(X, w, square(X.form, w)):
         out = out + signed_sw * span.linear(s.c1, bound).exp_series()
     return out
 
@@ -105,26 +109,9 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
     if d < 0:
         raise InputError("d must be non-negative")
     total = polyring.zero(X.form.rank, d)
-    for s, signed_sw in _signed_support(X, v):
+    for s, signed_sw in _signed_support(X, v, square(X.form, v)):
         total = total + signed_sw * linear_form(s.c1, X.form, d) ** d
     return total.is_zero()
-
-
-def _moment_prefactor(
-    X: FourManifoldData, w: CohomologyClass, info: RAndIReport, delta: int, m: int
-) -> Fraction:
-    """2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2), validated integral."""
-    if (info.i_value - delta) % 4 != 0:
-        raise NonIntegralExponent(
-            f"i(lam) - delta = {info.i_value - delta} not divisible by 4"
-        )
-    n_a = (info.i_value - delta) // 4
-    exponent = 1 - n_a - delta  # equals 1 - i/4 - 3 delta/4
-    w2 = square(X.form, w)
-    if (X.sigma - w2) % 2 != 0:
-        raise NonIntegralExponent(f"(sigma - w^2)/2 not integral for w^2 = {w2}")
-    sign = _sign_pow(m + (X.sigma - w2) // 2)
-    return sign * _two_pow(exponent)
 
 
 def donaldson_moment(
@@ -142,36 +129,46 @@ def donaldson_moment(
     other classes bound no stratum and contribute nothing.
     """
     span = _span(X, lam)
-    return span.expand(_donaldson_moment(span, X, w, lam, delta, m))
+    if delta < 0 or m < 0 or 2 * m > delta:
+        raise HypothesisViolated("need 0 <= 2m <= delta")
+    if not is_characteristic(X.form, w - lam):
+        raise HypothesisViolated("w - lam is not characteristic")
+    w2 = square(X.form, w)
+    if delta % 4 != _degree_residue(X, w2):
+        return polyring.zero(X.form.rank, delta - 2 * m)
+    info = r_and_i(X, lam, X.basic_classes)
+    if delta != info.r_min + 4:
+        raise HypothesisViolated(
+            f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
+        )
+    return span.expand(_donaldson_moment(span, X, w, w2, lam, info, delta, m))
 
 
 def _donaldson_moment(
     span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
+    w2: int,
     lam: CohomologyClass,
+    info: RAndIReport,
     delta: int,
     m: int,
 ) -> TruncatedPolynomial:
-    if delta < 0 or m < 0 or 2 * m > delta:
-        raise HypothesisViolated("need 0 <= 2m <= delta")
-    Q = X.form
-    if not is_characteristic(Q, w - lam):
-        raise HypothesisViolated("w - lam is not characteristic")
-    n = delta - 2 * m
-    if not degree_parity_ok(X, w, 2 * delta):
-        return polyring.zero(span.nvars, n)
-    info = r_and_i(X, lam, X.basic_classes)
-    if delta != info.r_min + 4:
-        raise HypothesisViolated(
-            f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
-        )
+    """Level-one formula on checked input, with w2 = w^2 and info = r_and_i."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
         )
-    prefactor = _moment_prefactor(X, w, info, delta, m)
-    w2 = square(Q, w)
+    if (info.i_value - delta) % 4 != 0:
+        raise NonIntegralExponent(
+            f"i(lam) - delta = {info.i_value - delta} not divisible by 4"
+        )
+    if (X.sigma - w2) % 2 != 0:
+        raise NonIntegralExponent(f"(sigma - w^2)/2 not integral for w^2 = {w2}")
+    # 2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2)
+    n_a = (info.i_value - delta) // 4
+    prefactor = _sign_pow(m + (X.sigma - w2) // 2) * Fraction(2) ** (1 - n_a - delta)
+    n = delta - 2 * m
     quarter = (X.chi + X.sigma) // 4
     out = polyring.zero(span.nvars, n)
     for s, r_s in zip(X.basic_classes, info.per_class):
@@ -181,8 +178,8 @@ def _donaldson_moment(
         if d_s % 2 != 0:
             raise HypothesisViolated(f"odd d_s = {d_s} for {s.c1.coords}")
         d = d_s // 2
-        eps = _half(w2 + pair(Q, s.c1, w - lam), "w^2 + c1.(w-lam)")
-        a = (info.i_value - delta) // 4 - d
+        eps = _half(w2 + pair(X.form, s.c1, w - lam), "w^2 + c1.(w-lam)")
+        a = n_a - d
         b = -d - quarter
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
         if r_s == delta:
@@ -200,6 +197,7 @@ def _moment_top_level(
     span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
+    w2: int,
     lam: CohomologyClass,
     delta: int,
     m: int,
@@ -207,17 +205,17 @@ def _moment_top_level(
     """Invariant at the lowest contributing degree delta = r(lam):
 
     2^(2-c) (-1)^(m+1) sum_s (-1)^((w^2+c1.w)/2) SW(s) <c1-lam, h>^(delta-2m),
-    valid for simple-type data with lam orthogonal to the support.  Called
-    by `_moments` only, which has checked the degree rule and 2m <= delta.
+    valid for simple-type data with lam orthogonal to the support (checked
+    here).  `_moments`, its only caller, has checked the rest.
     """
-    n = delta - 2 * m
     if not X.is_simple_type():
         raise HypothesisViolated("top-level moment formula needs simple type")
-    c = c_of_X(X)
+    _require_orthogonal(X, lam)
+    n = delta - 2 * m
     out = polyring.zero(span.nvars, n)
-    for s, signed_sw in _signed_support(X, w):
+    for s, signed_sw in _signed_support(X, w, w2):
         out = out + signed_sw * (span.linear(s.c1, n) - span.linear(lam, n)) ** n
-    return (_sign_pow(m + 1) * _two_pow(2 - c)) * out
+    return (_sign_pow(m + 1) * Fraction(2) ** (2 - c_of_X(X))) * out
 
 
 def _moments(
@@ -232,8 +230,9 @@ def _moments(
     Only the moments the degree rule allows at or above r(lam) are entries;
     every other one is zero.  delta = r(lam) takes the level-zero formula,
     delta = r(lam)+4 the level-one one, and any higher delta raises
-    BoundTooHigh.  Visits D(h^e) before D(h^e x) for e = 0..bound, so the
-    first error raised does not depend on how the table is read.
+    BoundTooHigh.  Derives w^2, r(lam) and the degree rule once per table.
+    Visits D(h^e) before D(h^e x) for e = 0..bound, so the first error
+    raised does not depend on how the table is read.
     """
     c = c_of_X(X)
     if bound > c + 1:
@@ -242,19 +241,24 @@ def _moments(
         )
     if bound < 0:
         raise InputError("bound must be non-negative")
-    r_min = r_and_i(X, lam, X.basic_classes).r_min
+    info = r_and_i(X, lam, X.basic_classes)
+    w2 = square(X.form, w)
+    residue = _degree_residue(X, w2)
+    characteristic = is_characteristic(X.form, w - lam)
     table = {}
     for e in range(bound + 1):
         for delta, m in ((e, 0), (e + 2, 1)):
-            if delta < r_min or not degree_parity_ok(X, w, 2 * delta):
+            if delta < info.r_min or delta % 4 != residue:
                 continue
-            if delta == r_min:
-                table[delta, m] = _moment_top_level(span, X, w, lam, delta, m)
-            elif delta == r_min + 4:
-                table[delta, m] = _donaldson_moment(span, X, w, lam, delta, m)
+            if delta == info.r_min:
+                table[delta, m] = _moment_top_level(span, X, w, w2, lam, delta, m)
+            elif delta == info.r_min + 4:
+                if not characteristic:
+                    raise HypothesisViolated("w - lam is not characteristic")
+                table[delta, m] = _donaldson_moment(span, X, w, w2, lam, info, delta, m)
             else:
                 raise BoundTooHigh(
-                    f"moment at delta = {delta} needs level-{(delta - r_min + 3) // 4} "
+                    f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "
                     "data; only levels zero and one are computable"
                 )
     return table
@@ -458,12 +462,8 @@ def verify_witten(
         raise HypothesisViolated("no basic classes with nonzero invariant")
     if not X.is_simple_type():
         raise HypothesisViolated("manifold is not of simple type")
+    _require_orthogonal(X, lam)
     Q = X.form
-    for s in X.support():
-        if pair(Q, lam, s.c1) != 0:
-            raise HypothesisViolated(
-                f"lam is not orthogonal to basic class {s.c1.coords}"
-            )
     if square(Q, lam) != 4 - (X.chi + X.sigma):
         raise HypothesisViolated(
             f"lam^2 = {square(Q, lam)} but 4-(chi+sigma) = {4 - (X.chi + X.sigma)}"
@@ -480,7 +480,7 @@ def verify_witten(
     lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, X, w, bound)
     qf = span.quadratic(bound)
-    rhs = _two_pow(2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
+    rhs = Fraction(2) ** (2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(
         DegreeRow(e, span, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
         for e in range(bound + 1)
@@ -500,9 +500,9 @@ def verify_witten(
     # i(lam) = c+4, so both identities read level-one table entries.
     zero = polyring.zero(span.nvars, 0)
     point_lhs = moments.get((c, 1), zero)
-    point_rhs = (_two_pow(3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
+    point_rhs = (Fraction(2) ** (3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
     top_lhs = moments.get((c, 0), zero)
-    top_rhs = (_two_pow(2 - c) * math.factorial(c)) * (
+    top_rhs = (Fraction(2) ** (2 - c) * math.factorial(c)) * (
         sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
     )
 

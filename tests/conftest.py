@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
+from monolink import cli, combinatorics, lattice, manifold, pairings, polyring, witten
 from monolink.cli import load_catalog_fixture
 from monolink.lattice import CohomologyClass, IntersectionForm, square
 from monolink.manifold import FourManifoldData, SpincData, SpinuData, dims_asd
@@ -18,6 +21,34 @@ def hyperbolic_gram(n: int) -> list[list[int]]:
         g[2 * b][2 * b + 1] = 1
         g[2 * b + 1][2 * b] = 1
     return g
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, *names) wraps owner.<name> for each name (owner a
+    module or a class) and returns the Counter of calls, keyed by name.
+
+    A function is also wrapped in every monolink module that binds it, so a
+    call through another module counts too: wrapping lattice.pair counts
+    the calls that witten, pairings and lattice.square make."""
+    calls = Counter()
+    modules = (cli, combinatorics, lattice, manifold, pairings, polyring, witten)
+
+    def install(owner, *names):
+        for name in names:
+            fn = getattr(owner, name)
+
+            def wrapped(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+            for module in modules:
+                if module is not owner and vars(module).get(name) is fn:
+                    monkeypatch.setattr(module, name, wrapped)
+        return calls
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from monolink.combinatorics import JacobiParams, jacobi_at_zero
 from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment
-from monolink.lattice import CohomologyClass, square
-from monolink.manifold import SpincData, SpinuData, dim_sw
+from monolink.lattice import CohomologyClass, pair, square
+from monolink.manifold import SpincData, SpinuData, c1_squared, dim_sw
 from monolink.pairings import (
     PairingInput,
     SegreInput,
@@ -13,13 +15,14 @@ from monolink.pairings import (
     blow_up_pairing_closed,
     blow_up_pairing_polarized,
     instanton_pairing,
+    level_one_bracket,
     link_pairing_closed,
     link_pairing_raw,
     s_constants,
     segre_coefficient,
     segre_coefficient_by_inversion,
 )
-from monolink.polyring import quadratic_form
+from monolink.polyring import Span, TruncatedPolynomial, quadratic_form
 
 from conftest import eta_for, max_delta
 
@@ -165,6 +168,36 @@ def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3):
             inp.X.name, inp.delta, inp.m
         )
         assert closed.at_h == raw.at_h
+
+
+def test_level_one_bracket_powers_beta_once(count_calls, synthetic_setups):
+    # The factored bracket raises <beta,h> to a power once; its value is the
+    # three-term sum with <beta,h>^deg, ^(deg-1) and ^(deg-2).
+    X, t_prime, s = synthetic_setups["ds2"]
+    c1, t = s.c1, t_prime.c1
+    beta = c1 - t
+    span = Span(X.form, (c1, t))
+    jac = JacobiParams(2, -3, 1)
+    P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(1, -2, 1))
+    assert P and P1
+    expected = {}
+    for n in range(7):
+        for m in range(2):
+            for k in range(min(n, 2) + 1):
+                deg = n - k
+                bf = span.linear(c1, deg) - span.linear(t, deg)
+                a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * (n - m - comb(k + 1, 2))
+                value = (a0 * P + 2 * pair(X.form, beta, t) * P1) * bf**deg
+                if deg >= 1:
+                    value += (2 * deg * P1) * (bf ** (deg - 1) * span.linear(t, deg))
+                if deg >= 2:
+                    value += (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * span.quadratic(deg))
+                expected[n, m, k] = value
+    calls = count_calls(TruncatedPolynomial, "__pow__")
+    for (n, m, k), value in expected.items():
+        calls.clear()
+        assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value
+        assert calls["__pow__"] == 1, (n, m, k, calls)
 
 
 def test_pairing_homogeneity_and_sign_law(synthetic_setups):

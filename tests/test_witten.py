@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from monolink import witten
+from monolink import lattice, manifold, polyring, witten
 from monolink.errors import BoundTooHigh, EmptySupport, HypothesisViolated, NotCongruent
-from monolink.lattice import CohomologyClass, square
-from monolink.manifold import c_of_X, r_and_i
+from monolink.lattice import CohomologyClass, pair, square
+from monolink.manifold import c_of_X, degree_parity_ok, r_and_i
 from monolink.polyring import linear_form, quadratic_form
 from monolink.witten import (
     assemble_donaldson_series,
@@ -265,56 +265,74 @@ def test_verify_products_stay_in_the_span(monkeypatch, e3, e5):
         assert seen and max(seen) <= 4, (fx.manifold.name, max(seen))
 
 
-def test_verify_computes_each_moment_once(monkeypatch, e3, e5):
+def test_verify_computes_each_moment_once(count_calls, e3, e5):
     # The assembly and both coefficient identities read one moment table:
-    # the two level-one moments at delta = c, each with one r(lam), plus the
-    # table's own r(lam).
-    calls = {}
-
-    def counting(name):
-        fn = getattr(witten, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("_donaldson_moment", "r_and_i"):
-        monkeypatch.setattr(witten, name, counting(name))
+    # the two level-one moments at delta = c, and the table's one r(lam).
+    calls = count_calls(witten, "_donaldson_moment")
+    count_calls(manifold, "r_and_i")
     for fx in (e3, e5):
-        calls.update(_donaldson_moment=0, r_and_i=0)
+        calls.clear()
         report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
         assert report.passed
         assert calls["_donaldson_moment"] == 2, (fx.manifold.name, calls)
-        assert calls["r_and_i"] <= 3, (fx.manifold.name, calls)
+        assert calls["r_and_i"] == 1, (fx.manifold.name, calls)
 
 
-def test_verify_reduces_each_class_once_and_never_expands(monkeypatch, e3, e5):
+def test_verify_derives_each_invariant_once(count_calls, k3, e3, e5):
+    # w^2, r(lam, c1) and the degree rule are derived once per check, and the
+    # characteristic condition is checked by verify_witten and the moment
+    # table only; every square is a pair, so pair counts both.
+    calls = count_calls(lattice, "pair", "is_characteristic")
+    count_calls(manifold, "degree_parity_ok")
+    for fx, most in ((k3, 20), (e3, 33), (e5, 68)):
+        calls.clear()
+        report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
+        assert report.passed
+        assert calls["pair"] <= most, (fx.manifold.name, calls)
+        assert calls["is_characteristic"] == 2, (fx.manifold.name, calls)
+        assert calls["degree_parity_ok"] == 0, (fx.manifold.name, calls)
+
+
+def test_degree_residue_matches_the_parity_rule(k3, e3, e5):
+    # degree_parity_ok is the oracle of the residue the moment table uses.
+    for fx in (k3, e3, e5):
+        X = fx.manifold
+        for w in (fx.w, fx.w + _basis(0, X.form.rank)):
+            residue = witten._degree_residue(X, square(X.form, w))
+            for delta in range(-4, 13):
+                assert (delta % 4 == residue) == degree_parity_ok(X, w, 2 * delta)
+
+
+def test_level_zero_moment_needs_lam_orthogonal_to_the_support():
+    # lam.c1 = 2 puts the class at r = r(lam), the level-zero formula, whose
+    # derivation needs lam orthogonal to the support.
+    from monolink.lattice import IntersectionForm
+    from monolink.manifold import FourManifoldData, SpincData
+
+    from conftest import hyperbolic_gram
+
+    form = IntersectionForm(hyperbolic_gram(3))
+    s = SpincData(CohomologyClass((2, 0, 0, 0, 0, 0)), sw=1)
+    X = FourManifoldData("3H", chi=24, sigma=-16, form=form, basic_classes=(s,))
+    lam = CohomologyClass((-2, 1, 0, 0, 0, 0))
+    assert square(form, lam) == -4 and pair(form, lam, s.c1) == 2
+    with pytest.raises(HypothesisViolated, match="not orthogonal"):
+        assemble_donaldson_series(X, lam, lam, 3)
+    with pytest.raises(HypothesisViolated, match="not orthogonal"):
+        sign_change_check(X, lam, lam + 2 * _basis(1, 6), lam)
+
+
+def test_verify_reduces_each_class_once_and_never_expands(count_calls, e3, e5):
     # One Span serves the whole check: each class of the support and lam is
     # row-reduced once, at construction, and every <c1(s) - lam, h> is a
     # difference of those; a passing check never goes back to the h-basis,
     # so the h-basis factors <v_i, h> and Q(h) are never built.
-    from monolink import polyring
     from monolink.polyring import Span
 
-    calls = {}
-
-    def counting(owner, name):
-        fn = getattr(owner, name)
-
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapped)
-
-    for name in ("_reduce", "expand"):
-        counting(Span, name)
-    for name in ("linear_form", "quadratic_form"):
-        counting(polyring, name)
+    calls = count_calls(Span, "_reduce", "expand")
+    count_calls(polyring, "linear_form", "quadratic_form")
     for fx in (e3, e5):
-        calls.update(_reduce=0, expand=0, linear_form=0, quadratic_form=0)
+        calls.clear()
         X = fx.manifold
         report = verify_witten(X, fx.w, fx.lam, attributes=fx.attributes)
         assert report.passed
