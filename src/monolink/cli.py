@@ -158,11 +158,11 @@ def load_fixture(path: str | Path) -> Fixture:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long ints
         raise ParseError(f"{p}: invalid JSON: {exc}") from exc
     return parse_fixture(doc, where=str(p))
 
@@ -380,14 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list built-in fixtures")
+    p.set_defaults(run=lambda a, out: cmd_catalog(out))
 
     p = sub.add_parser("verify", help="run the full series comparison")
     p.add_argument("fixture", help="fixture path or catalog name")
+    p.set_defaults(run=lambda a, out: cmd_verify(_resolve_fixture(a.fixture), out))
 
     p = sub.add_parser("moment", help="one Donaldson moment")
     p.add_argument("fixture")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
+    p.set_defaults(
+        run=lambda a, out: cmd_moment(_resolve_fixture(a.fixture), a.delta, a.m, out)
+    )
 
     p = sub.add_parser("pairing", help="level-one link pairings")
     p.add_argument("fixture")
@@ -396,52 +401,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_class, default=None, help="comma-separated class")
     p.add_argument("--oracle", action="store_true", help="compare closed vs raw")
     p.add_argument("--blowup-k", type=int, default=None)
+    p.set_defaults(
+        run=lambda a, out: cmd_pairing(
+            _resolve_fixture(a.fixture), a.delta, a.m, a.h, a.oracle, a.blowup_k, out
+        )
+    )
 
     p = sub.add_parser("fuzz-identities", help="combinatorial identity sweeps")
     p.add_argument("--a-min", type=int, default=-6)
     p.add_argument("--a-max", type=int, default=10)
     p.add_argument("--mn-bound", type=int, default=6)
     p.add_argument("--d-max", type=int, default=8)
+    p.set_defaults(
+        run=lambda a, out: cmd_fuzz_identities(
+            out, (a.a_min, a.a_max), a.mn_bound, a.d_max
+        )
+    )
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "catalog":
-            return cmd_catalog(out)
-        if args.command == "verify":
-            return cmd_verify(_resolve_fixture(args.fixture), out)
-        if args.command == "moment":
-            return cmd_moment(_resolve_fixture(args.fixture), args.delta, args.m, out)
-        if args.command == "pairing":
-            return cmd_pairing(
-                _resolve_fixture(args.fixture),
-                args.delta,
-                args.m,
-                args.h,
-                args.oracle,
-                args.blowup_k,
-                out,
-            )
-        if args.command == "fuzz-identities":
-            return cmd_fuzz_identities(
-                out,
-                a_range=(args.a_min, args.a_max),
-                mn_bound=args.mn_bound,
-                d_max=args.d_max,
-            )
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, out)
     except FixtureError as exc:
         print(f"ERROR input: {exc}", file=out)
         return 2
     except MonolinkError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=out)
         return 2
-    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

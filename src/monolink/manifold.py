@@ -133,7 +133,7 @@ def dims_asd(X: FourManifoldData, t: SpinuData) -> tuple[int, int]:
 
     d_a = -2 p1 - (3/2)(chi+sigma),  n_a = (p1 + c1(t)^2 - sigma)/4.
     """
-    d_a = -2 * t.p1 - _exact_div(3 * (X.chi + X.sigma), 2, "3(chi+sigma)/2")
+    d_a = -2 * t.p1 - 6 * holomorphic_euler(X)
     n_a = _exact_div(t.p1 + square(X.form, t.c1) - X.sigma, 4, "n_a")
     return d_a, n_a
 
@@ -157,7 +157,7 @@ def normal_indices(
     n'' = ((c1(s)-2 c1(t))^2 - sigma)/8.
     """
     diff = t.c1 - s.c1
-    n1 = -square(X.form, diff) - _exact_div(X.chi + X.sigma, 2, "(chi+sigma)/2")
+    n1 = -square(X.form, diff) - 2 * holomorphic_euler(X)
     n2 = _exact_div(
         square(X.form, s.c1 - 2 * t.c1) - X.sigma, 8, "n''"
     )
@@ -181,7 +181,7 @@ def r_and_i(
 ) -> RAndIReport:
     """r(lam, c1) = -(c1-lam)^2 - (3/4)(chi+sigma) per class, its minimum
     over the invariant's support, and i(lam) = lam^2 + c(X) + chi + sigma."""
-    three_quarter = _exact_div(3 * (X.chi + X.sigma), 4, "3(chi+sigma)/4")
+    three_quarter = 3 * holomorphic_euler(X)
     per = tuple(
         -square(X.form, s.c1 - lam) - three_quarter for s in spinc_list
     )
@@ -195,9 +195,7 @@ def r_and_i(
 def degree_parity_ok(X: FourManifoldData, w: CohomologyClass, deg_z: int) -> bool:
     """Mod-8 rule an invariant's argument degree must satisfy:
     deg(z) = -2 w^2 - (3/2)(chi+sigma) (mod 8)."""
-    rhs = -2 * square(X.form, w) - _exact_div(
-        3 * (X.chi + X.sigma), 2, "3(chi+sigma)/2"
-    )
+    rhs = -2 * square(X.form, w) - 6 * holomorphic_euler(X)
     return (deg_z - rhs) % 8 == 0
 
 

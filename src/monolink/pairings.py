@@ -35,6 +35,7 @@ from .manifold import (
     c1_squared,
     dim_sw,
     dims_asd,
+    holomorphic_euler,
     level,
     normal_indices,
     orientation_sign,
@@ -190,6 +191,10 @@ class PairingInput:
     The spin-u structure t_prime is the ambient one (the stratum of s sits
     at level one in it); delta, m, eta satisfy the degree bookkeeping
     2(delta+eta) = dim(ambient moduli / circle) - 1, checked on build.
+
+    Building derives, once and cross-checked, `d` = d_s/2, the Jacobi
+    triple `jacobi` = (a, b, d) and the split structure's normal indices
+    `normal` = (n', n''): plain attributes, not fields, so not in `==`.
     """
 
     X: FourManifoldData
@@ -218,11 +223,22 @@ class PairingInput:
         if ds < 0 or ds % 2 != 0:
             raise HypothesisViolated(f"d_s = {ds} must be even and non-negative")
         self.X.form._require_rank(self.h)
-
-    @property
-    def d(self) -> int:
-        """Half the dimension of the embedded monopole space."""
-        return dim_sw(self.X, self.s) // 2
+        d = ds // 2
+        a = self.eta - d + 1
+        two_b = 2 * self.delta - d_a - 2 * d - 2 * holomorphic_euler(self.X)
+        if two_b % 2 != 0:
+            raise NotDivisible("Jacobi parameter b is not an integer")
+        b = two_b // 2
+        # Independent route through the split structure's normal indices.
+        t = self.t_prime
+        n1, n2 = normal_indices(self.X, SpinuData(c1=t.c1, p1=t.p1 + 4, w=t.w), self.s)
+        if a != 3 + n1 + n2 - self.delta or b != self.delta - n1 - 4 - d:
+            raise HypothesisViolated(
+                "inconsistent input: degree bookkeeping and normal indices disagree"
+            )
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "jacobi", JacobiParams(a, b, d))
+        object.__setattr__(self, "normal", (n1, n2))
 
     def moment(self) -> int:
         """<mu^d, [M_s]>: the recorded moment, or the invariant when d = 0."""
@@ -242,25 +258,6 @@ class PairingValue:
 
     polynomial: TruncatedPolynomial
     at_h: Fraction
-
-
-def _jacobi_pair(inp: PairingInput) -> tuple[int, int, int]:
-    """(a, b, d) for the pairing, computed two ways and cross-checked."""
-    d = inp.d
-    d_a, _ = dims_asd(inp.X, inp.t_prime)
-    a = inp.eta - d + 1
-    two_b = 2 * inp.delta - d_a - 2 * d - (inp.X.chi + inp.X.sigma) // 2
-    if two_b % 2 != 0:
-        raise NotDivisible("Jacobi parameter b is not an integer")
-    b = two_b // 2
-    # Independent route through the split structure's normal indices.
-    t_split = SpinuData(c1=inp.t_prime.c1, p1=inp.t_prime.p1 + 4, w=inp.t_prime.w)
-    n1, n2 = normal_indices(inp.X, t_split, inp.s)
-    if a != 3 + n1 + n2 - inp.delta or b != inp.delta - n1 - 4 - d:
-        raise HypothesisViolated(
-            "inconsistent input: degree bookkeeping and normal indices disagree"
-        )
-    return a, b, d
 
 
 def level_one_bracket(
@@ -302,19 +299,15 @@ def level_one_bracket(
     return bf ** (deg - min(deg, 2)) * inner
 
 
-def _bracket_closed(
-    inp: PairingInput, k: int, use_sw: bool
-) -> TruncatedPolynomial:
+def _bracket_closed(inp: PairingInput, k: int, moment: int) -> TruncatedPolynomial:
     """The level-one bracket for a pairing input with k exceptional slots,
-    times (-1)^(m+1+d) 2^(d-delta) and the moment (or the invariant)."""
-    a, b, d = _jacobi_pair(inp)
+    times (-1)^(m+1+d) 2^(d-delta) and `moment`."""
     n = inp.delta - 2 * inp.m
     c1, t = inp.s.c1, inp.t_prime.c1
     span = Span(inp.X.form, (c1, t))
-    bracket = level_one_bracket(inp.X, span, c1, t, n, inp.m, k, JacobiParams(a, b, d))
-    sign = -1 if (inp.m + 1 + d) % 2 else 1
-    mom = inp.s.sw if use_sw else inp.moment()
-    scale = Fraction(sign * mom) * Fraction(2**d, 2**inp.delta)
+    bracket = level_one_bracket(inp.X, span, c1, t, n, inp.m, k, inp.jacobi)
+    sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
+    scale = Fraction(sign * moment) * Fraction(2**inp.d, 2**inp.delta)
     return span.expand(scale * bracket)
 
 
@@ -327,7 +320,7 @@ def link_pairing_closed(inp: PairingInput) -> PairingValue:
     P^{a-1,b+1}, which keeps the value finite when P^{a,b}(0) = 0 and makes
     the closed route agree exactly with the literal nested sum.
     """
-    poly = _bracket_closed(inp, k=0, use_sw=False)
+    poly = _bracket_closed(inp, k=0, moment=inp.moment())
     return PairingValue(poly, poly.evaluate(inp.h.coords))
 
 
@@ -337,11 +330,11 @@ def b0_coefficient(inp: PairingInput) -> Fraction:
     Only for direct coefficient queries; raises JacobiZeroDivide when the
     denominator value vanishes.  The pairing evaluators never divide.
     """
-    a, b, d = _jacobi_pair(inp)
-    P = jacobi_at_zero(JacobiParams(a, b, d))
+    jac = inp.jacobi
+    P = jacobi_at_zero(jac)
     if P == 0:
-        raise JacobiZeroDivide(f"P^({a},{b})_{d}(0) = 0")
-    P1 = jacobi_at_zero(JacobiParams(a - 1, b + 1, d))
+        raise JacobiZeroDivide(f"P^({jac.a},{jac.b})_{jac.d}(0) = 0")
+    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
     return 2 * (inp.delta - 2 * inp.m) * P1 / P
 
 
@@ -353,11 +346,9 @@ def link_pairing_raw(inp: PairingInput) -> PairingValue:
     with Segre constants S_j, the v-shifted binomial pattern of the six
     term families, and the four instanton pairing values substituted.
     """
-    _, _, d = _jacobi_pair(inp)  # validates the degree bookkeeping
-    X, Q = inp.X, inp.X.form
+    X, Q, d = inp.X, inp.X.form, inp.d
     delta, m, n = inp.delta, inp.m, inp.delta - 2 * inp.m
-    t_split = SpinuData(c1=inp.t_prime.c1, p1=inp.t_prime.p1 + 4, w=inp.t_prime.w)
-    n1, n2 = normal_indices(X, t_split, inp.s)
+    n1, n2 = inp.normal
 
     # Combinatorial weights, one accumulator per term family.
     w_nu3 = w_nu2c = w_nu2h = w_nuhc = w_nuq = w_nux = 0
@@ -433,7 +424,7 @@ def blow_up_pairing_closed(inp: PairingInput, k: int) -> PairingValue:
         zero_poly = polyring.zero(inp.X.form.rank, deg)
         return PairingValue(zero_poly, Fraction(0))
     o_sign = orientation_sign(inp.X, inp.t_prime.w, inp.t_prime, inp.s)
-    poly = o_sign * _bracket_closed(inp, k=k, use_sw=True)
+    poly = o_sign * _bracket_closed(inp, k=k, moment=inp.s.sw)
     return PairingValue(poly, poly.evaluate(inp.h.coords))
 
 
@@ -468,9 +459,9 @@ def blow_up_pairing_polarized(inp: PairingInput, k: int) -> PairingValue:
 
     X_blown, e = blow_up_manifold(inp.X)
     t_blown = blow_up_spinu(inp.t_prime)
-    a, b, d = _jacobi_pair(inp)
-    P = jacobi_at_zero(JacobiParams(a, b, d))
-    P1 = jacobi_at_zero(JacobiParams(a - 1, b + 1, d))
+    jac, d = inp.jacobi, inp.d
+    P = jacobi_at_zero(jac)
+    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, d))
 
     bound = max(deg, 2)
     qf = quadratic_form(inp.X.form, bound)

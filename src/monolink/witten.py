@@ -29,6 +29,7 @@ from .manifold import (
     RAndIReport,
     c_of_X,
     dim_sw,
+    holomorphic_euler,
     r_and_i,
     require_odd_b_plus,
 )
@@ -59,7 +60,7 @@ def _sign_pow(exponent: int) -> int:
 
 def _degree_residue(X: FourManifoldData, w2: int) -> int:
     """delta mod 4 at which 2 delta = -2 w^2 - (3/2)(chi+sigma) (mod 8)."""
-    return (-w2 - 3 * (X.chi + X.sigma) // 4) % 4
+    return (-w2 - 3 * holomorphic_euler(X)) % 4
 
 
 def _signed_support(X: FourManifoldData, w: CohomologyClass, w2: int):
@@ -169,7 +170,7 @@ def _donaldson_moment(
     n_a = (info.i_value - delta) // 4
     prefactor = _sign_pow(m + (X.sigma - w2) // 2) * Fraction(2) ** (1 - n_a - delta)
     n = delta - 2 * m
-    quarter = (X.chi + X.sigma) // 4
+    chi_h = holomorphic_euler(X)
     out = polyring.zero(span.nvars, n)
     for s, r_s in zip(X.basic_classes, info.per_class):
         if s.sw == 0 or r_s not in (delta, delta - 4):
@@ -180,7 +181,7 @@ def _donaldson_moment(
         d = d_s // 2
         eps = _half(w2 + pair(X.form, s.c1, w - lam), "w^2 + c1.(w-lam)")
         a = n_a - d
-        b = -d - quarter
+        b = -d - chi_h
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
         if r_s == delta:
             P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))

@@ -136,6 +136,23 @@ def test_cmd_verify_input_error():
     assert text.startswith("ERROR input:")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'\xff\xfe{"name": 1}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"name": "x", "chi": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+)
+def test_cmd_verify_unreadable_fixture_is_input_error(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    code, text = _run("verify", str(path))
+    assert code == 2
+    assert text.startswith("ERROR input:")
+
+
 def test_cmd_verify_mathematical_failure(tmp_path):
     doc = json.loads((_catalog_text("e3")))
     doc["basic_classes"][1]["sw"] = 1  # break the charge-conjugation sign

@@ -1,13 +1,24 @@
+import io
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from monolink import lattice, manifold, witten
+from monolink.cli import main
 from monolink.combinatorics import JacobiParams, jacobi_at_zero
 from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment
 from monolink.lattice import CohomologyClass, pair, square
-from monolink.manifold import SpincData, SpinuData, c1_squared, dim_sw
+from monolink.manifold import (
+    SpincData,
+    SpinuData,
+    c1_squared,
+    dim_sw,
+    holomorphic_euler,
+    level,
+    r_and_i,
+)
 from monolink.pairings import (
     PairingInput,
     SegreInput,
@@ -198,6 +209,53 @@ def test_level_one_bracket_powers_beta_once(count_calls, synthetic_setups):
         calls.clear()
         assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value
         assert calls["__pow__"] == 1, (n, m, k, calls)
+
+
+def test_pairing_input_derives_level_one_data_once(count_calls):
+    # The input is checked when it is built; the closed, raw, blown-up and
+    # polarized routes only read its d, Jacobi triple and normal indices.
+    calls = count_calls(manifold, "normal_indices", "dims_asd", "dim_sw")
+    count_calls(lattice, "pair")
+    argv = ["pairing", "k3", "--delta", "2", "--m", "0", "--oracle", "--blowup-k", "2"]
+    assert main(argv, out=io.StringIO()) == 0
+    assert calls["normal_indices"] == 1
+    assert calls["dims_asd"] <= 2
+    assert calls["dim_sw"] <= 4
+    assert calls["pair"] <= 31
+
+
+def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
+    # At delta = r(lam)+4 and t' = (lam, -delta - 3 chi_h, w) a level-one
+    # class's pairing input stores (n_a - d, -d - chi_h, d), n_a =
+    # (i(lam) - delta)/4: the triple the Donaldson moment hands to the
+    # bracket for that class.
+    seen = {}
+
+    def spy(X, span, c1, t, n, m, k, jac):
+        seen[c1] = jac
+        return level_one_bracket(X, span, c1, t, n, m, k, jac)
+
+    monkeypatch.setattr(witten, "level_one_bracket", spy)
+    for fx in (k3, e3, e5):
+        X = fx.manifold
+        info = r_and_i(X, fx.lam, X.basic_classes)
+        delta, chi_h = info.r_min + 4, holomorphic_euler(X)
+        n_a = (info.i_value - delta) // 4
+        t = SpinuData(c1=fx.lam, p1=-delta - 3 * chi_h, w=fx.w)
+        level_one = [s for s in X.support() if level(X, t, s) == 1]
+        assert level_one
+        for m in range(delta // 2 + 1):
+            seen.clear()
+            witten.donaldson_moment(X, fx.w, fx.lam, delta, m)
+            assert set(seen) == {s.c1 for s in level_one}
+            for s in level_one:
+                inp = PairingInput(
+                    X=X, t_prime=t, s=s, delta=delta, m=m,
+                    eta=eta_for(X, t, delta), h=fx.lam,
+                )
+                d = inp.d
+                assert inp.jacobi == JacobiParams(n_a - d, -d - chi_h, d)
+                assert seen[s.c1] == inp.jacobi
 
 
 def test_pairing_homogeneity_and_sign_law(synthetic_setups):
