@@ -22,7 +22,6 @@ from .errors import (
     InputError,
     JacobiZeroDivide,
     MissingMoment,
-    NotDivisible,
 )
 from .lattice import CohomologyClass, IntersectionForm, pair, square
 from .manifold import (
@@ -225,10 +224,8 @@ class PairingInput:
         self.X.form._require_rank(self.h)
         d = ds // 2
         a = self.eta - d + 1
-        two_b = 2 * self.delta - d_a - 2 * d - 2 * holomorphic_euler(self.X)
-        if two_b % 2 != 0:
-            raise NotDivisible("Jacobi parameter b is not an integer")
-        b = two_b // 2
+        # d_a = -2 p1 - 6 chi_h is even, so b = delta - d_a/2 - d - chi_h is integral.
+        b = self.delta - d_a // 2 - d - holomorphic_euler(self.X)
         # Independent route through the split structure's normal indices.
         t = self.t_prime
         n1, n2 = normal_indices(self.X, SpinuData(c1=t.c1, p1=t.p1 + 4, w=t.w), self.s)

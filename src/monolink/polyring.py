@@ -1,11 +1,16 @@
 """Truncated multivariate polynomials over exact rationals.
 
 The carrier for all series work: sparse terms keyed by exponent tuples,
-truncated at a total-degree bound.  Arithmetic between operands requires
-equal variable counts and takes the smaller bound.  Rendering is
-deterministic (graded lexicographic order, coefficients as p/q).  `Span`
-gives series that involve only a few linear forms <v, h> and Q(h) a ring
-with a few variables, and expands its results back to the h-basis.
+truncated at a total-degree bound.  A polynomial stores integer numerators
+over one positive common denominator `den`, in lowest terms, so every ring
+operation is integer arithmetic with at most one gcd per result.
+`Fraction`s appear only at the boundary: constructor input, `coefficient`,
+`constant_term`, `evaluate`, `render`, scalars, and `Span`'s row reduction.
+Arithmetic between operands requires equal variable counts and takes the
+smaller bound.  Rendering is deterministic (graded lexicographic order,
+coefficients as p/q).  `Span` gives series that involve only a few linear
+forms <v, h> and Q(h) a ring with a few variables, and expands its results
+back to the h-basis.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -33,17 +39,36 @@ __all__ = [
 ]
 
 
+def _require_bound(bound: int) -> None:
+    if bound < 0:
+        raise InputError("degree bound must be non-negative")
+
+
+def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """(numerators, den) with value_i = numerator_i / den and den the lcm of
+    the denominators: gcd(den, *numerators) = 1 for values in lowest terms."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 @dataclass(frozen=True)
 class TruncatedPolynomial:
-    """Polynomial with rational coefficients, truncated in total degree."""
+    """Polynomial with rational coefficients, truncated in total degree.
+
+    The coefficient of x^e is terms[e] / den: `terms` maps exponent tuples
+    to nonzero ints and `den` (a plain attribute, not a field) is a positive
+    int with gcd(den, *terms.values()) = 1, and den = 1 for the zero
+    polynomial.  That form is unique, so `==` and `hash` compare exactly.
+    The constructor takes int or Fraction coefficients.
+    """
 
     nvars: int
     bound: int
-    terms: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
-            raise InputError("degree bound must be non-negative")
+        _require_bound(self.bound)
         clean = {}
         for expo, coeff in self.terms.items():
             if sum(expo) > self.bound:
@@ -53,17 +78,28 @@ class TruncatedPolynomial:
                 if len(expo) != self.nvars:
                     raise DimensionMismatch("exponent length != variable count")
                 clean[tuple(expo)] = c
-        object.__setattr__(self, "terms", clean)
+        nums, den = _over_common_den(clean.values())
+        object.__setattr__(self, "terms", dict(zip(clean, nums)))
+        object.__setattr__(self, "den", den)
 
     # -- ring structure -------------------------------------------------
 
     @classmethod
-    def _fast(cls, nvars: int, bound: int, clean_terms: dict) -> "TruncatedPolynomial":
-        """Constructor bypassing validation; callers guarantee clean terms."""
+    def _fast(
+        cls, nvars: int, bound: int, clean_terms: dict, den: int = 1
+    ) -> "TruncatedPolynomial":
+        """Constructor bypassing validation; callers guarantee clean terms
+        (nonzero ints, within the bound).  Divides out gcd(den, *terms)."""
+        if den != 1:
+            g = gcd(den, *clean_terms.values())
+            if g != 1:
+                den //= g
+                clean_terms = {e: c // g for e, c in clean_terms.items()}
         obj = object.__new__(cls)
         object.__setattr__(obj, "nvars", nvars)
         object.__setattr__(obj, "bound", bound)
         object.__setattr__(obj, "terms", clean_terms)
+        object.__setattr__(obj, "den", den)
         return obj
 
     def _align(self, other: "TruncatedPolynomial") -> int:
@@ -75,17 +111,25 @@ class TruncatedPolynomial:
 
     def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         bound = self._align(other)
-        terms = dict(self.terms) if bound == self.bound else self.truncate(bound).terms
+        # Rescale both numerators to den = lcm(self.den, other.den).
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, self.den // g
+        terms = {
+            e: c * mine
+            for e, c in self.terms.items()
+            if bound == self.bound or sum(e) <= bound
+        }
         for expo, c in other.terms.items():
             if bound < other.bound and sum(expo) > bound:
                 continue
+            c *= theirs
             acc = terms.get(expo)
             total = c if acc is None else acc + c
             if total:
                 terms[expo] = total
             elif acc is not None:
                 del terms[expo]
-        return TruncatedPolynomial._fast(self.nvars, bound, terms)
+        return TruncatedPolynomial._fast(self.nvars, bound, terms, self.den * mine)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         return self + (-1) * other
@@ -94,11 +138,16 @@ class TruncatedPolynomial:
         return (-1) * self
 
     def __rmul__(self, k: Scalar) -> "TruncatedPolynomial":
-        k = Fraction(k)
+        if not isinstance(k, (int, Fraction)):
+            k = Fraction(k)
         if k == 0:
             return TruncatedPolynomial._fast(self.nvars, self.bound, {})
+        num = k.numerator
         return TruncatedPolynomial._fast(
-            self.nvars, self.bound, {e: k * c for e, c in self.terms.items()}
+            self.nvars,
+            self.bound,
+            {e: num * c for e, c in self.terms.items()},
+            self.den * k.denominator,
         )
 
     def __mul__(self, other) -> "TruncatedPolynomial":
@@ -111,7 +160,7 @@ class TruncatedPolynomial:
         right = sorted(
             ((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0]
         )
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
         for d1, e1, c1 in left:
             if right and d1 + right[0][0] > bound:
@@ -124,7 +173,9 @@ class TruncatedPolynomial:
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
         for key in [k for k, v in out.items() if not v]:
             del out[key]
-        return TruncatedPolynomial._fast(self.nvars, bound, out)
+        return TruncatedPolynomial._fast(
+            self.nvars, bound, out, self.den * other.den
+        )
 
     def __pow__(self, n: int) -> "TruncatedPolynomial":
         if n < 0:
@@ -141,16 +192,20 @@ class TruncatedPolynomial:
     # -- series operations ----------------------------------------------
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def exp_series(self) -> "TruncatedPolynomial":
         """sum_k self^k / k!, requiring a zero constant term."""
-        if self.constant_term() != 0:
+        if (0,) * self.nvars in self.terms:
             raise NonzeroConstantTerm("exp needs zero constant term")
         out = constant(1, self.nvars, self.bound)
         term = constant(1, self.nvars, self.bound)
         for k in range(1, self.bound + 1):
-            term = Fraction(1, k) * (term * self)
+            term = term * self
+            # term / k, in lowest terms again through _fast
+            term = TruncatedPolynomial._fast(
+                self.nvars, term.bound, term.terms, term.den * k
+            )
             if term.is_zero():
                 break
             out = out + term
@@ -187,19 +242,20 @@ class TruncatedPolynomial:
             self.nvars,
             self.bound,
             {e: c for e, c in self.terms.items() if sum(e) == d},
+            self.den,
         )
 
     def truncate(self, bound: int) -> "TruncatedPolynomial":
-        if bound < 0:
-            raise InputError("degree bound must be non-negative")
+        _require_bound(bound)
         return TruncatedPolynomial._fast(
             self.nvars,
             bound,
             {e: c for e, c in self.terms.items() if sum(e) <= bound},
+            self.den,
         )
 
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+        return Fraction(self.terms.get(tuple(expo), 0), self.den)
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         if len(values) != self.nvars:
@@ -212,15 +268,19 @@ class TruncatedPolynomial:
                 if e:
                     prod *= v**e
             total += prod
-        return total
+        return total / self.den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and dict(self.terms) == dict(other.terms)
+        return (
+            self.nvars == other.nvars
+            and self.den == other.den
+            and dict(self.terms) == dict(other.terms)
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     # -- deterministic text form ------------------------------------------
 
@@ -229,10 +289,11 @@ class TruncatedPolynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for expo, coeff in sorted(
+        for expo, num in sorted(
             self.terms.items(),
             key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])),
         ):
+            coeff = Fraction(num, self.den)
             mono = "*".join(
                 f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
                 for i, e in enumerate(expo)
@@ -264,32 +325,39 @@ def zero(nvars: int, bound: int) -> TruncatedPolynomial:
 
 
 def constant(value: Scalar, nvars: int, bound: int) -> TruncatedPolynomial:
-    return TruncatedPolynomial(nvars, bound, {(0,) * nvars: Fraction(value)})
+    _require_bound(bound)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    terms = {(0,) * nvars: value.numerator} if value else {}
+    return TruncatedPolynomial._fast(nvars, bound, terms, value.denominator)
 
 
 def _linear(
-    coeffs: Iterable[tuple[int, Scalar]], nvars: int, bound: int
+    coeffs: Iterable[tuple[int, int]], nvars: int, bound: int, den: int = 1
 ) -> TruncatedPolynomial:
-    """sum_i c_i x_i over the (i, c_i) pairs given."""
-    return TruncatedPolynomial(
-        nvars,
-        bound,
-        {tuple(int(j == i) for j in range(nvars)): c for i, c in coeffs if c},
-    )
+    """sum_i c_i x_i / den over the (i, c_i) pairs given, c_i integers."""
+    _require_bound(bound)
+    terms = {
+        tuple(int(j == i) for j in range(nvars)): c for i, c in coeffs if c and bound
+    }
+    return TruncatedPolynomial._fast(nvars, bound, terms, den)
 
 
 def _quadratic(matrix: Sequence[Sequence[Scalar]], bound: int) -> TruncatedPolynomial:
-    """x^T M x for a symmetric matrix M."""
+    """x^T M x for a symmetric rational matrix M."""
+    _require_bound(bound)
     n = len(matrix)
+    nums, den = _over_common_den(x for row in matrix for x in row)
     terms = {}
     for i in range(n):
         for j in range(i, n):
-            if matrix[i][j]:
+            c = nums[i * n + j]
+            if c and bound >= 2:
                 expo = [0] * n
                 expo[i] += 1
                 expo[j] += 1
-                terms[tuple(expo)] = matrix[i][j] if i == j else 2 * matrix[i][j]
-    return TruncatedPolynomial(n, bound, terms)
+                terms[tuple(expo)] = c if i == j else 2 * c
+    return TruncatedPolynomial._fast(n, bound, terms, den)
 
 
 def variable(i: int, nvars: int, bound: int) -> TruncatedPolynomial:
@@ -340,8 +408,9 @@ class Span:
         # Rows in insertion order, each reduced against the earlier ones, scaled
         # to 1 at its pivot and kept sparse, with its combination of the basis.
         self._echelon: list[tuple[int, list, list]] = []
-        # cls.coords -> its coefficients in v_1..v_k, for each class reduced.
-        self._combos: dict[tuple[int, ...], list] = {}
+        # cls.coords -> its coefficients in v_1..v_k over a common
+        # denominator, (numerators, den), for each class reduced.
+        self._combos: dict[tuple[int, ...], tuple[list[int], int]] = {}
         for cls in classes:
             row, combo = self._reduce(cls)
             pivot = next((j for j, c in enumerate(row) if c), None)
@@ -353,16 +422,18 @@ class Span:
                 self._echelon.append((pivot, erow, ecombo))
                 combo = [0] * len(combo) + [1]
                 self.basis.append(cls)
-            self._combos[cls.coords] = combo
+            self._combos[cls.coords] = _over_common_den(combo)
         k = self.k = len(self.basis)
         self.full_rank = k == form.rank
         self.nvars = k if self.full_rank else k + 2
         if self.full_rank:
             gram = [[Fraction(pair(form, a, b)) for b in self.basis]
                     for a in self.basis]
-            self._quadratic_terms = _quadratic(_inverse(gram), 2).terms
+            self._quadratic_poly = _quadratic(_inverse(gram), 2)
         else:
-            self._quadratic_terms = {(0,) * k + (1, 1): Fraction(1)}
+            self._quadratic_poly = TruncatedPolynomial._fast(
+                self.nvars, 2, {(0,) * k + (1, 1): 1}
+            )
         self._images: dict = {}
 
     def _reduce(self, cls: CohomologyClass) -> tuple[list, list]:
@@ -381,17 +452,18 @@ class Span:
 
     def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
         """<cls, h> in the variables x_i; cls must lie in the span."""
-        combo = self._combos.get(cls.coords)
-        if combo is None:
+        entry = self._combos.get(cls.coords)
+        if entry is None:
             row, combo = self._reduce(cls)
             if any(row):
                 raise InputError(f"class {cls.coords} is not in the span")
-            self._combos[cls.coords] = combo
-        return _linear(enumerate(combo), self.nvars, bound)
+            entry = self._combos[cls.coords] = _over_common_den(combo)
+        nums, den = entry
+        return _linear(enumerate(nums), self.nvars, bound, den)
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:
         """Q(h): u*v while k < rank, x^T G^-1 x when k = rank."""
-        return TruncatedPolynomial(self.nvars, bound, self._quadratic_terms)
+        return self._quadratic_poly.truncate(bound)
 
     def expand(self, p: TruncatedPolynomial) -> TruncatedPolynomial:
         """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b."""
@@ -399,7 +471,7 @@ class Span:
             raise DimensionMismatch(
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
         for expo, c in p.terms.items():
             a = expo[: self.k]
@@ -408,11 +480,13 @@ class Span:
                 b, b_v = expo[self.k :]
                 if b != b_v:
                     raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
+            # The images are products of <v_i,h> and Q(h), whose coefficients
+            # come from the integer Gram matrix, so their den is 1.
             for e, d in self._image(a, b).terms.items():
                 acc = get(e)
                 out[e] = c * d if acc is None else acc + c * d
         clean = {e: c for e, c in out.items() if c}
-        return TruncatedPolynomial._fast(self.form.rank, p.bound, clean)
+        return TruncatedPolynomial._fast(self.form.rank, p.bound, clean, p.den)
 
     @cached_property
     def _h_factors(self) -> tuple[list[TruncatedPolynomial], TruncatedPolynomial]:

@@ -132,7 +132,8 @@ def donaldson_moment(
     span = _span(X, lam)
     if delta < 0 or m < 0 or 2 * m > delta:
         raise HypothesisViolated("need 0 <= 2m <= delta")
-    if not is_characteristic(X.form, w - lam):
+    w_lam = w - lam
+    if not is_characteristic(X.form, w_lam):
         raise HypothesisViolated("w - lam is not characteristic")
     w2 = square(X.form, w)
     if delta % 4 != _degree_residue(X, w2):
@@ -142,20 +143,21 @@ def donaldson_moment(
         raise HypothesisViolated(
             f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
         )
-    return span.expand(_donaldson_moment(span, X, w, w2, lam, info, delta, m))
+    level_one = _level_one_classes(X, w2, w_lam, info, delta)
+    return span.expand(_donaldson_moment(span, X, w2, lam, level_one, delta, m))
 
 
-def _donaldson_moment(
-    span: Span,
+def _level_one_classes(
     X: FourManifoldData,
-    w: CohomologyClass,
     w2: int,
-    lam: CohomologyClass,
+    w_lam: CohomologyClass,
     info: RAndIReport,
     delta: int,
-    m: int,
-) -> TruncatedPolynomial:
-    """Level-one formula on checked input, with w2 = w^2 and info = r_and_i."""
+) -> tuple[int, list]:
+    """Checks the level-one formula's hypotheses at delta and returns
+    (n_a, [(s, r_s, d, eps)]) for the classes that contribute there, with
+    n_a = (i(lam) - delta)/4, d = d_s/2 and eps = (w^2 + c1.(w-lam))/2.
+    None of it depends on m, so a moment table derives it once."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
@@ -166,20 +168,35 @@ def _donaldson_moment(
         )
     if (X.sigma - w2) % 2 != 0:
         raise NonIntegralExponent(f"(sigma - w^2)/2 not integral for w^2 = {w2}")
-    # 2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2)
-    n_a = (info.i_value - delta) // 4
-    prefactor = _sign_pow(m + (X.sigma - w2) // 2) * Fraction(2) ** (1 - n_a - delta)
-    n = delta - 2 * m
-    chi_h = holomorphic_euler(X)
-    out = polyring.zero(span.nvars, n)
+    classes = []
     for s, r_s in zip(X.basic_classes, info.per_class):
         if s.sw == 0 or r_s not in (delta, delta - 4):
             continue
         d_s = dim_sw(X, s)
         if d_s % 2 != 0:
             raise HypothesisViolated(f"odd d_s = {d_s} for {s.c1.coords}")
-        d = d_s // 2
-        eps = _half(w2 + pair(X.form, s.c1, w - lam), "w^2 + c1.(w-lam)")
+        eps = _half(w2 + pair(X.form, s.c1, w_lam), "w^2 + c1.(w-lam)")
+        classes.append((s, r_s, d_s // 2, eps))
+    return (info.i_value - delta) // 4, classes
+
+
+def _donaldson_moment(
+    span: Span,
+    X: FourManifoldData,
+    w2: int,
+    lam: CohomologyClass,
+    level_one: tuple[int, list],
+    delta: int,
+    m: int,
+) -> TruncatedPolynomial:
+    """Level-one formula, with w2 = w^2 and level_one = _level_one_classes."""
+    n_a, classes = level_one
+    # 2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2)
+    prefactor = _sign_pow(m + (X.sigma - w2) // 2) * Fraction(2) ** (1 - n_a - delta)
+    n = delta - 2 * m
+    chi_h = holomorphic_euler(X)
+    out = polyring.zero(span.nvars, n)
+    for s, r_s, d, eps in classes:
         a = n_a - d
         b = -d - chi_h
         scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
@@ -231,7 +248,8 @@ def _moments(
     Only the moments the degree rule allows at or above r(lam) are entries;
     every other one is zero.  delta = r(lam) takes the level-zero formula,
     delta = r(lam)+4 the level-one one, and any higher delta raises
-    BoundTooHigh.  Derives w^2, r(lam) and the degree rule once per table.
+    BoundTooHigh.  Derives w^2, w - lam, r(lam), the degree rule and the
+    level-one classes' data once per table.
     Visits D(h^e) before D(h^e x) for e = 0..bound, so the first error
     raised does not depend on how the table is read.
     """
@@ -245,7 +263,9 @@ def _moments(
     info = r_and_i(X, lam, X.basic_classes)
     w2 = square(X.form, w)
     residue = _degree_residue(X, w2)
-    characteristic = is_characteristic(X.form, w - lam)
+    w_lam = w - lam
+    characteristic = is_characteristic(X.form, w_lam)
+    level_one = None
     table = {}
     for e in range(bound + 1):
         for delta, m in ((e, 0), (e + 2, 1)):
@@ -256,7 +276,9 @@ def _moments(
             elif delta == info.r_min + 4:
                 if not characteristic:
                     raise HypothesisViolated("w - lam is not characteristic")
-                table[delta, m] = _donaldson_moment(span, X, w, w2, lam, info, delta, m)
+                if level_one is None:
+                    level_one = _level_one_classes(X, w2, w_lam, info, delta)
+                table[delta, m] = _donaldson_moment(span, X, w2, lam, level_one, delta, m)
             else:
                 raise BoundTooHigh(
                     f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 
 from monolink import cli, combinatorics, lattice, manifold, pairings, polyring, witten
-from monolink.cli import load_catalog_fixture
+from monolink.cli import Fixture, load_catalog_fixture
 from monolink.lattice import CohomologyClass, IntersectionForm, square
-from monolink.manifold import FourManifoldData, SpincData, SpinuData, dims_asd
+from monolink.manifold import (
+    FourManifoldData,
+    SpincData,
+    SpinuData,
+    blow_up_manifold,
+    blow_up_spinc,
+    dims_asd,
+)
 
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
@@ -64,6 +72,22 @@ def e3():
 @pytest.fixture(scope="session")
 def e5():
     return load_catalog_fixture("e5")
+
+
+def blow_up_fixture(fx: Fixture, n: int) -> Fixture:
+    """fx on X # n CP2bar: per blow-up, every basic class s becomes
+    blow_up_spinc(s, k) for k in (0, 1), i.e. c1(s) -/+ e, and w and lam
+    extend by 1 and 0 on the exceptional class e."""
+    X, w, lam = fx.manifold, fx.w, fx.lam
+    for _ in range(n):
+        blown, _e = blow_up_manifold(X)
+        classes = tuple(
+            blow_up_spinc(s, k, X, blown) for s in X.basic_classes for k in (0, 1)
+        )
+        X = replace(blown, basic_classes=classes)
+        w = CohomologyClass(w.coords + (1,))
+        lam = CohomologyClass(lam.coords + (0,))
+    return Fixture(X, w, lam, fx.attributes)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,80 @@ def small_polys(nvars=2, bound=4):
     return st.dictionaries(expo, coeff, max_size=4).map(
         lambda terms: TruncatedPolynomial(nvars, bound, terms)
     )
+
+
+# An independent oracle for the kernel: plain {expo: Fraction} dicts, with
+# terms above the bound dropped.
+def ref_clean(terms, bound):
+    return {e: c for e, c in terms.items() if c and sum(e) <= bound}
+
+
+def ref_add(p, q, bound):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out, bound)
+
+
+def ref_mul(p, q, bound):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out, bound)
+
+
+def ref_exp(p, nvars, bound):
+    out = term = {(0,) * nvars: Fraction(1)}
+    for k in range(1, bound + 1):
+        term = {e: c / k for e, c in ref_mul(term, p, bound).items()}
+        out = ref_add(out, term, bound)
+    return out
+
+
+def as_fractions(p):
+    return {e: p.coefficient(e) for e in p.terms}
+
+
+def assert_canonical(p):
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert p.den > 0 and gcd(p.den, *p.terms.values()) == 1
+    assert p.den == 1 or not p.is_zero()
+
+
+def fraction_dicts(nvars=3):
+    coeff = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+    expo = st.tuples(*(st.integers(0, 3) for _ in range(nvars)))
+    return st.dictionaries(expo, coeff, max_size=6)
+
+
+@given(
+    fraction_dicts(),
+    fraction_dicts(),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_kernel_matches_fraction_oracle(p_in, q_in, k, bound, d):
+    p_ref, q_ref = ref_clean(p_in, bound), ref_clean(q_in, bound)
+    p = TruncatedPolynomial(3, bound, p_in)
+    q = TruncatedPolynomial(3, bound, q_in)
+    neg_q = {e: -c for e, c in q_ref.items()}
+    nonconstant = p - constant(p.constant_term(), 3, bound)
+    cases = [
+        (p, p_ref),
+        (p + q, ref_add(p_ref, q_ref, bound)),
+        (p - q, ref_add(p_ref, neg_q, bound)),
+        (p * q, ref_mul(p_ref, q_ref, bound)),
+        (k * p, ref_clean({e: k * c for e, c in p_ref.items()}, bound)),
+        (nonconstant.exp_series(), ref_exp(as_fractions(nonconstant), 3, bound)),
+        (p.truncate(d), ref_clean(p_ref, d)),
+        (p.homogeneous_part(d), {e: c for e, c in p_ref.items() if sum(e) == d}),
+    ]
+    for got, want in cases:
+        assert as_fractions(got) == want
+        assert_canonical(got)
 
 
 def test_zero_and_constant():

@@ -16,6 +16,8 @@ from monolink.witten import (
     verify_witten,
 )
 
+from conftest import blow_up_fixture
+
 
 def _basis(i, rank):
     return CohomologyClass.basis_vector(i, rank)
@@ -243,6 +245,18 @@ def test_sign_change_requires_congruence(k3):
         sign_change_check(k3.manifold, k3.w, k3.w + _basis(0, 22), k3.lam)
 
 
+def test_verify_passes_on_twice_blown_up_catalog(e3, e5):
+    # X # 2 CP2bar: c rises by 2, the support quadruples, and the series
+    # carry larger denominators (2^(2-c), 1/e!) than any catalog fixture.
+    for fx in (e3, e5):
+        blown = blow_up_fixture(fx, 2)
+        X = blown.manifold
+        assert len(X.support()) == 4 * len(fx.manifold.support())
+        report = verify_witten(X, blown.w, blown.lam, attributes=blown.attributes)
+        assert report.c == c_of_X(fx.manifold) + 2
+        assert report.passed
+
+
 def test_verify_products_stay_in_the_span(monkeypatch, e3, e5):
     # verify_witten computes in the span of the support and lam (k = 2, so
     # x1, x2, u, v): a product in the full 34- or 14-variable ring is a
@@ -279,16 +293,18 @@ def test_verify_computes_each_moment_once(count_calls, e3, e5):
 
 
 def test_verify_derives_each_invariant_once(count_calls, k3, e3, e5):
-    # w^2, r(lam, c1) and the degree rule are derived once per check, and the
-    # characteristic condition is checked by verify_witten and the moment
-    # table only; every square is a pair, so pair counts both.
+    # w^2, w - lam, r(lam, c1), the degree rule and each class's d_s are
+    # derived once per check, and the characteristic condition is checked by
+    # verify_witten and the moment table only; every square is a pair, so
+    # pair counts both.
     calls = count_calls(lattice, "pair", "is_characteristic")
-    count_calls(manifold, "degree_parity_ok")
-    for fx, most in ((k3, 20), (e3, 33), (e5, 68)):
+    count_calls(manifold, "degree_parity_ok", "dim_sw")
+    for fx, most in ((k3, 14), (e3, 24), (e5, 56)):
         calls.clear()
         report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
         assert report.passed
         assert calls["pair"] <= most, (fx.manifold.name, calls)
+        assert calls["dim_sw"] == len(fx.manifold.support()), (fx.manifold.name, calls)
         assert calls["is_characteristic"] == 2, (fx.manifold.name, calls)
         assert calls["degree_parity_ok"] == 0, (fx.manifold.name, calls)
 
