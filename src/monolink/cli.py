@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -425,12 +426,21 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, out)
-    except FixtureError as exc:
-        print(f"ERROR input: {exc}", file=out)
-        return 2
-    except MonolinkError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=out)
+        try:
+            code = args.run(args, out)
+        except FixtureError as exc:
+            print(f"ERROR input: {exc}", file=out)
+            code = 2
+        except MonolinkError as exc:
+            print(f"ERROR {type(exc).__name__}: {exc}", file=out)
+            code = 2
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, as the Python docs
+        # advise, so the flush at exit cannot fail again; no comparison ran
+        # to its end, so this is exit 2, not 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

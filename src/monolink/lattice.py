@@ -2,15 +2,15 @@
 
 Classes are integer coordinate vectors in a fixed basis; the form is a
 symmetric integer Gram matrix whose positive-eigenvalue count is verified
-at construction by exact rational diagonalization.  The lattice is modeled
+at construction by exact integer diagonalization.  The lattice is modeled
 torsion-free throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
@@ -78,43 +78,67 @@ class CohomologyClass:
 def _signature_counts(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Exact (positive, negative, zero) inertia counts of a symmetric matrix.
 
-    Symmetric Gaussian elimination over Fraction; when all remaining
-    diagonal entries vanish but an off-diagonal survives, a basis change
-    e_i -> e_i + e_j manufactures a nonzero diagonal entry.
+    The counts add over the connected components of the nonzero pattern (an
+    orthogonal sum), so each component is eliminated on its own.
     """
     n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    rows = list(range(n))
-    while rows:
-        pivot = next((r for r in rows if m[r][r] != 0), None)
-        if pivot is None:
+    seen = [False] * n
+    counts = [0, 0, 0]
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for i in comp:  # grows while it is walked
+            for j, g in enumerate(gram[i]):
+                if g and not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        part = _inertia([[gram[i][j] for j in comp] for i in comp])
+        counts = [a + b for a, b in zip(counts, part)]
+    return tuple(counts)
+
+
+def _inertia(m: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix by integer congruence
+    elimination.  A pivot d = m[p][p] != 0 splits off with its sign, and the
+    rest becomes |d| times its Schur complement: the row op r <- |d| r -
+    sign(d) f_r p and the same column op, with f the pivot row, and the
+    content divided out (positive scalings keep the inertia).  When every
+    diagonal entry vanishes but an off-diagonal survives, the basis change
+    e_i -> e_i + e_j manufactures a nonzero diagonal entry.
+    """
+    pos = neg = 0
+    while m:
+        p = next((i for i, row in enumerate(m) if row[i]), None)
+        if p is None:
             hit = next(
-                ((r, c) for r in rows for c in rows if c != r and m[r][c] != 0), None
+                ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x), None
             )
             if hit is None:
-                zero += len(rows)
-                break
-            r, c = hit
-            m[r] = [a + b if b else a for a, b in zip(m[r], m[c])]
+                return pos, neg, len(m)
+            i, j = hit
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
             for row in m:
-                if row[c]:
-                    row[r] += row[c]
-            pivot = r
-        d = m[pivot][pivot]
+                row[i] += row[j]
+            p = i
+        d = m[p][p]
         if d > 0:
             pos += 1
         else:
             neg += 1
-        rows.remove(pivot)
-        for r in rows:
-            if m[r][pivot] != 0:
-                f = m[r][pivot] / d
-                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[pivot])]
-                for row in m:
-                    if row[pivot]:
-                        row[r] -= f * row[pivot]
-    return pos, neg, zero
+        f = m[p]
+        sf = f if d > 0 else [-x for x in f]
+        d = abs(d)
+        m = [
+            [d * x - fi * sf[j] for j, x in enumerate(row) if j != p]
+            for i, (row, fi) in enumerate(zip(m, f))
+            if i != p
+        ]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return pos, neg, 0
 
 
 @dataclass(frozen=True)

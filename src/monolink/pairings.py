@@ -282,17 +282,20 @@ def level_one_bracket(
     deg = n - k
     if deg < 0:
         return polyring.zero(span.nvars, 0)
+    # P and P1 share the denominator 2^d: work with p = 2^d P, p1 = 2^d P1.
+    d = jac.d
     P = jacobi_at_zero(jac)
-    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
+    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, d))
+    p, p1 = ((x.numerator << d) // x.denominator for x in (P, P1))
     beta = c1 - t
     bf = span.linear(c1, deg) - span.linear(t, deg)
     a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
-    top = a0 * P + 2 * pair(X.form, beta, t) * P1
+    top = Fraction(a0 * p + 2 * pair(X.form, beta, t) * p1, 1 << d)
     inner = constant(top, span.nvars, deg)
     if deg >= 1:
-        inner = top * bf + (2 * deg * P1) * span.linear(t, deg)
+        inner = top * bf + Fraction(2 * deg * p1, 1 << d) * span.linear(t, deg)
     if deg >= 2:
-        inner = inner * bf + (4 * comb(deg, 2) * P) * span.quadratic(deg)
+        inner = inner * bf + Fraction(4 * comb(deg, 2) * p, 1 << d) * span.quadratic(deg)
     return bf ** (deg - min(deg, 2)) * inner
 
 
@@ -304,7 +307,7 @@ def _bracket_closed(inp: PairingInput, k: int, moment: int) -> TruncatedPolynomi
     span = Span(inp.X.form, (c1, t))
     bracket = level_one_bracket(inp.X, span, c1, t, n, inp.m, k, inp.jacobi)
     sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
-    scale = Fraction(sign * moment) * Fraction(2**inp.d, 2**inp.delta)
+    scale = Fraction(sign * moment << inp.d, 1 << inp.delta)
     return span.expand(scale * bracket)
 
 

@@ -5,7 +5,9 @@ truncated at a total-degree bound.  A polynomial stores integer numerators
 over one positive common denominator `den`, in lowest terms, so every ring
 operation is integer arithmetic with at most one gcd per result.
 `Fraction`s appear only at the boundary: constructor input, `coefficient`,
-`constant_term`, `evaluate`, `render`, scalars, and `Span`'s row reduction.
+`constant_term`, `evaluate`, `render`, scalars, and `Span`'s Gram inverse.
+`**` and `exp_series` generate their terms directly, without products of
+intermediate powers.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -19,7 +21,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -50,6 +52,12 @@ def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
+    """(nums, den) for the values nums_i / den, den > 0, with their gcd out."""
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
 
 
 @dataclass(frozen=True)
@@ -178,16 +186,37 @@ class TruncatedPolynomial:
         )
 
     def __pow__(self, n: int) -> "TruncatedPolynomial":
+        """self^n = sum_{|k|=n} n!/k! prod_t (c_t x^(e_t))^(k_t) / den^n, one pass
+        over the compositions k, each partial one dropped once no completion
+        fits the bound.  n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = constant(1, self.nvars, self.bound)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return constant(1, self.nvars, self.bound)
+        # Sorted by degree, so a term too big for all that is left ends a walk.
+        items = [
+            (d, [(tuple(k * x for x in e), c**k) for k in range(n + 1)])
+            for d, e, c in sorted((sum(e), e, c) for e, c in self.terms.items())
+        ]
+        out: dict[tuple[int, ...], int] = {}
+
+        def extend(start: int, left: int, deg: int, expo: tuple, acc: int) -> None:
+            # The next nonzero k_t has t >= start; the last term takes the rest.
+            for t in range(start, len(items)):
+                d, steps = items[t]
+                if deg + left * d > self.bound:
+                    break
+                for k in range(left if t == len(items) - 1 else 1, left + 1):
+                    ke, ck = steps[k]
+                    key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
+                    if k == left:
+                        out[key] = out.get(key, 0) + value
+                    else:
+                        extend(t + 1, left - k, deg + k * d, key, value)
+
+        extend(0, n, 0, (0,) * self.nvars, 1)
+        terms = {e: c for e, c in out.items() if c}
+        return TruncatedPolynomial._fast(self.nvars, self.bound, terms, self.den**n)
 
     # -- series operations ----------------------------------------------
 
@@ -195,21 +224,25 @@ class TruncatedPolynomial:
         return self.coefficient((0,) * self.nvars)
 
     def exp_series(self) -> "TruncatedPolynomial":
-        """sum_k self^k / k!, requiring a zero constant term."""
+        """sum_k self^k / k!, requiring a zero constant term.
+
+        The terms commute, so this is the product over the terms c x^e of
+        sum_{k <= bound/|e|} (c/den)^k x^(ke) / k!, each factor built
+        directly over den^K K! with numerators c^k den^(K-k) K!/k!."""
         if (0,) * self.nvars in self.terms:
             raise NonzeroConstantTerm("exp needs zero constant term")
-        out = constant(1, self.nvars, self.bound)
-        term = constant(1, self.nvars, self.bound)
-        for k in range(1, self.bound + 1):
-            term = term * self
-            # term / k, in lowest terms again through _fast
-            term = TruncatedPolynomial._fast(
-                self.nvars, term.bound, term.terms, term.den * k
+        out, den = None, self.den
+        for e, c in self.terms.items():
+            K = self.bound // sum(e)
+            nums = {
+                tuple(k * x for x in e): c**k * den ** (K - k) * perm(K, K - k)
+                for k in range(K + 1)
+            }
+            factor = TruncatedPolynomial._fast(
+                self.nvars, self.bound, nums, den**K * factorial(K)
             )
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+            out = factor if out is None else out * factor
+        return constant(1, self.nvars, self.bound) if out is None else out
 
     def inverse(self) -> "TruncatedPolynomial":
         """Multiplicative inverse, requiring a nonzero constant term."""
@@ -383,8 +416,8 @@ class Span:
     """Coordinates for series that only involve <v, h> for v in `classes`
     and Q(h).
 
-    Exact row reduction keeps a linearly independent subset v_1..v_k of the
-    classes, in the order given; the variables x_i stand for <v_i, h>.
+    Fraction-free row reduction keeps a linearly independent subset v_1..v_k
+    of the classes, in the order given; the variables x_i stand for <v_i, h>.
     While k < rank, two more degree-one variables u, v follow the x_i and
     Q(h) is the monomial u*v, so the ordinary total-degree truncation is
     the truncation in h.  `linear`, `quadratic` and the ring operations
@@ -397,7 +430,7 @@ class Span:
     Q[x, uv] -> Q[h].  Equality and `is_zero` in the reduced ring are
     therefore exact, not a test at random points.  When k = rank the x_i are
     a basis of the linear forms, there are no u, v, and Q(h) = x^T G^-1 x
-    with G the Gram matrix of v_1..v_k.
+    with G the Gram matrix of v_1..v_k (inverted in Fractions, only then).
     """
 
     def __init__(
@@ -405,24 +438,26 @@ class Span:
     ) -> None:
         self.form = form
         self.basis: list[CohomologyClass] = []
-        # Rows in insertion order, each reduced against the earlier ones, scaled
-        # to 1 at its pivot and kept sparse, with its combination of the basis.
+        # Integer rows in insertion order, each reduced against the earlier
+        # ones and kept sparse: (pivot, row, E) with row = sum_i E_i v_i, the
+        # integers row and E coprime and row positive at its pivot.
         self._echelon: list[tuple[int, list, list]] = []
         # cls.coords -> its coefficients in v_1..v_k over a common
-        # denominator, (numerators, den), for each class reduced.
+        # denominator, (numerators, den) in lowest terms, per class reduced.
         self._combos: dict[tuple[int, ...], tuple[list[int], int]] = {}
         for cls in classes:
-            row, combo = self._reduce(cls)
+            row, combo, m = self._reduce(cls)
             pivot = next((j for j, c in enumerate(row) if c), None)
-            if pivot is not None:
-                # row = cls - sum_i combo_i v_i, and cls becomes the next v_i.
-                scale = 1 / Fraction(row[pivot])
-                erow = [(j, c * scale) for j, c in enumerate(row) if c]
-                ecombo = [-c * scale for c in combo] + [scale]
-                self._echelon.append((pivot, erow, ecombo))
-                combo = [0] * len(combo) + [1]
-                self.basis.append(cls)
-            self._combos[cls.coords] = _over_common_den(combo)
+            if pivot is None:
+                self._combos[cls.coords] = _lowest_terms(combo, m)
+                continue
+            # row = m cls - sum_i combo_i v_i, and cls becomes the next v_i.
+            coeffs = [-c for c in combo] + [m]
+            g = gcd(*row, *coeffs) * (1 if row[pivot] > 0 else -1)
+            erow = [(j, c // g) for j, c in enumerate(row) if c]
+            self._echelon.append((pivot, erow, [c // g for c in coeffs]))
+            self._combos[cls.coords] = ([0] * len(combo) + [1], 1)
+            self.basis.append(cls)
         k = self.k = len(self.basis)
         self.full_rank = k == form.rank
         self.nvars = k if self.full_rank else k + 2
@@ -436,28 +471,34 @@ class Span:
             )
         self._images: dict = {}
 
-    def _reduce(self, cls: CohomologyClass) -> tuple[list, list]:
-        """(remainder, c) with cls = remainder + sum_i c_i v_i."""
+    def _reduce(self, cls: CohomologyClass) -> tuple[list, list, int]:
+        """(remainder, c, m), all integers with m > 0, such that
+        m cls = remainder + sum_i c_i v_i (fraction-free elimination)."""
         self.form._require_rank(cls)
         row = list(cls.coords)
         combo = [0] * len(self.basis)
+        m = 1
         for pivot, erow, ecombo in self._echelon:
             f = row[pivot]
             if f:
+                # row <- s row - t erow clears the pivot; s > 0 keeps m > 0.
+                g = gcd(erow[0][1], f)
+                s, t = erow[0][1] // g, f // g
+                row, combo, m = [s * c for c in row], [s * c for c in combo], s * m
                 for j, b in erow:
-                    row[j] -= f * b
+                    row[j] -= t * b
                 for i, b in enumerate(ecombo):
-                    combo[i] += f * b
-        return row, combo
+                    combo[i] += t * b
+        return row, combo, m
 
     def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
         """<cls, h> in the variables x_i; cls must lie in the span."""
         entry = self._combos.get(cls.coords)
         if entry is None:
-            row, combo = self._reduce(cls)
+            row, combo, m = self._reduce(cls)
             if any(row):
                 raise InputError(f"class {cls.coords} is not in the span")
-            entry = self._combos[cls.coords] = _over_common_den(combo)
+            entry = self._combos[cls.coords] = _lowest_terms(combo, m)
         nums, den = entry
         return _linear(enumerate(nums), self.nvars, bound, den)
 

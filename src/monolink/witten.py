@@ -58,6 +58,11 @@ def _sign_pow(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+def _times_pow2(num: int, e: int):
+    """num * 2^e: an int, or one Fraction when e < 0."""
+    return num << e if e >= 0 else Fraction(num, 1 << -e)
+
+
 def _degree_residue(X: FourManifoldData, w2: int) -> int:
     """delta mod 4 at which 2 delta = -2 w^2 - (3/2)(chi+sigma) (mod 8)."""
     return (-w2 - 3 * holomorphic_euler(X)) % 4
@@ -191,24 +196,28 @@ def _donaldson_moment(
 ) -> TruncatedPolynomial:
     """Level-one formula, with w2 = w^2 and level_one = _level_one_classes."""
     n_a, classes = level_one
-    # 2^(1 - i(lam)/4 - 3 delta/4) (-1)^(m + (sigma - w^2)/2)
-    prefactor = _sign_pow(m + (X.sigma - w2) // 2) * Fraction(2) ** (1 - n_a - delta)
+    # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
+    # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
+    # times (-1)^eps (-2)^d SW(s).
+    sign = m + (X.sigma - w2) // 2
     n = delta - 2 * m
     chi_h = holomorphic_euler(X)
     out = polyring.zero(span.nvars, n)
     for s, r_s, d, eps in classes:
         a = n_a - d
         b = -d - chi_h
-        scale = _sign_pow(eps) * Fraction((-2) ** d) * s.sw
+        num = _sign_pow(sign + eps + d) * s.sw
         if r_s == delta:
+            # The Jacobi value has denominator 2^d, which cancels (-2)^d.
             P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
+            num *= (P_top.numerator << d) // P_top.denominator
             bf = span.linear(s.c1, n) - span.linear(lam, n)
-            out = out + (scale * P_top) * bf**n
+            out = out + _times_pow2(num, 1 - n_a - delta) * bf**n
         else:
             jac = JacobiParams(a, b, d)
             bracket = level_one_bracket(X, span, s.c1, lam, n, m, 0, jac)
-            out = out + scale * bracket
-    return prefactor * out
+            out = out + _times_pow2(num, d + 1 - n_a - delta) * bracket
+    return out
 
 
 def _moment_top_level(
@@ -233,7 +242,7 @@ def _moment_top_level(
     out = polyring.zero(span.nvars, n)
     for s, signed_sw in _signed_support(X, w, w2):
         out = out + signed_sw * (span.linear(s.c1, n) - span.linear(lam, n)) ** n
-    return (_sign_pow(m + 1) * Fraction(2) ** (2 - c_of_X(X))) * out
+    return _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X)) * out
 
 
 def _moments(
@@ -503,7 +512,7 @@ def verify_witten(
     lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, X, w, bound)
     qf = span.quadratic(bound)
-    rhs = Fraction(2) ** (2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
+    rhs = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(
         DegreeRow(e, span, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
         for e in range(bound + 1)
@@ -523,9 +532,9 @@ def verify_witten(
     # i(lam) = c+4, so both identities read level-one table entries.
     zero = polyring.zero(span.nvars, 0)
     point_lhs = moments.get((c, 1), zero)
-    point_rhs = (Fraction(2) ** (3 - c) * math.factorial(c - 2)) * sw_parts[c - 2]
+    point_rhs = _times_pow2(math.factorial(c - 2), 3 - c) * sw_parts[c - 2]
     top_lhs = moments.get((c, 0), zero)
-    top_rhs = (Fraction(2) ** (2 - c) * math.factorial(c)) * (
+    top_rhs = _times_pow2(math.factorial(c), 2 - c) * (
         sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
     )
 

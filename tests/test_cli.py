@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,3 +286,26 @@ def test_every_argv_exits_0_1_or_2(argv):
     lines = buf.getvalue().splitlines()
     failed = any(line.startswith("CHECK ") and " FAIL" in line for line in lines)
     assert code != 1 or failed, argv
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    # The pipe's only reader is closed before the command writes a line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monolink.cli", "catalog"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,24 @@ def test_signature_counts_invariant_under_congruence(data):
     n = data.draw(st.integers(1, 8))
     g = data.draw(symmetric(n))
     assert _signature_counts(congruent(g, data.draw(unimodular(n)))) == _signature_counts(g)
+
+
+def test_signature_counts_of_dense_rank_40_form():
+    # P = L U with unit lower and upper triangular L, U: dense and unimodular.
+    rng = random.Random(40)
+    n, p = 40, 17
+
+    def unit_lower():
+        return [[int(i == j) if j >= i else rng.choice((-1, 0, 1)) for j in range(n)]
+                for i in range(n)]
+
+    low, up = unit_lower(), unit_lower()
+    P = [[sum(low[i][k] * up[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    signs = [1] * p + [-1] * (n - p)
+    g = [[sum(s * P[k][i] * P[k][j] for k, s in enumerate(signs)) for j in range(n)]
+         for i in range(n)]
+    assert sum(1 for row in g for x in row if x) > 0.9 * n * n
+    assert _signature_counts(g) == (p, n - p, 0)
 
 
 def test_forms_from_equal_grams_are_equal(e3):

@@ -66,6 +66,13 @@ def ref_exp(p, nvars, bound):
     return out
 
 
+def ref_pow(p, n, nvars, bound):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p, bound)
+    return ref_clean(out, bound)
+
+
 def as_fractions(p):
     return {e: p.coefficient(e) for e in p.terms}
 
@@ -108,6 +115,35 @@ def test_kernel_matches_fraction_oracle(p_in, q_in, k, bound, d):
     for got, want in cases:
         assert as_fractions(got) == want
         assert_canonical(got)
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda nv: st.tuples(st.just(nv), fraction_dicts(nv))),
+    st.integers(0, 7),
+    st.integers(0, 7),
+)
+def test_pow_and_exp_match_fraction_oracle(nv_terms, n, bound):
+    nvars, terms = nv_terms
+    ref = ref_clean(terms, bound)
+    p = TruncatedPolynomial(nvars, bound, terms)
+    nonconstant = p - constant(p.constant_term(), nvars, bound)
+    for got, want in (
+        (p**n, ref_pow(ref, n, nvars, bound)),
+        (nonconstant.exp_series(), ref_exp(as_fractions(nonconstant), nvars, bound)),
+    ):
+        assert as_fractions(got) == want
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_pow_with_constant_term_cut_midway(n):
+    # (1/2 - x/3 + 2y^2)^n truncated at degree 3: the bound cuts the power
+    # midway, the constant term takes any share of n, and den = 6^n before
+    # lowest terms.
+    terms = {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 3), (0, 2): Fraction(2)}
+    got = TruncatedPolynomial(2, 3, terms) ** n
+    assert as_fractions(got) == ref_pow(terms, n, 2, 3)
+    assert_canonical(got)
 
 
 def test_zero_and_constant():

@@ -1,6 +1,7 @@
 """Span: series computed in the linear forms of a few classes and Q(h),
 expanded to the h-basis, against the same series built in the h-basis."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,73 @@ def test_span_picks_independent_classes():
         4, 2, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -3}
     )
     assert span.quadratic(2) == TruncatedPolynomial(4, 2, {(0, 0, 1, 1): 1})
+
+
+def ref_span_coefficients(classes):
+    """(basis, coefficients): the classes independent of the earlier ones,
+    in order, and each class's coefficients in them, by Fraction
+    Gauss-Jordan elimination on [v_1 .. v_k | cls]."""
+    basis, coefficients = [], []
+    for cls in classes:
+        k = len(basis)
+        aug = [[Fraction(v.coords[r]) for v in basis] + [Fraction(cls.coords[r])]
+               for r in range(cls.rank)]
+        row = 0
+        for col in range(k):
+            piv = next(r for r in range(row, len(aug)) if aug[r][col])
+            aug[row], aug[piv] = aug[piv], aug[row]
+            aug[row] = [x / aug[row][col] for x in aug[row]]
+            for r in range(len(aug)):
+                if r != row and aug[r][col]:
+                    aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[row])]
+            row += 1
+        if any(aug[r][k] for r in range(row, len(aug))):
+            basis.append(cls)
+            coefficients.append([Fraction(0)] * k + [Fraction(1)])
+        else:
+            coefficients.append([aug[r][k] for r in range(k)])
+    return basis, coefficients
+
+
+@st.composite
+def rational_combination_lists(draw, rank):
+    """Random classes, then classes (a u + b v)/g with g the gcd of the
+    coordinates of a u + b v, so their coefficients are rational."""
+    small = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    classes = [CohomologyClass(draw(small)) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        u, v = draw(st.sampled_from(classes)), draw(st.sampled_from(classes))
+        w = a * u + b * v
+        g = math.gcd(*w.coords) or 1
+        classes.append(CohomologyClass(x // g for x in w.coords))
+    return classes
+
+
+@given(st.data())
+def test_span_linear_matches_fraction_gauss_jordan(data):
+    form = data.draw(forms())
+    classes = data.draw(rational_combination_lists(form.rank))
+    span = Span(form, classes)
+    basis, coefficients = ref_span_coefficients(classes)
+    assert span.basis == basis
+    for cls, coeffs in zip(classes, coefficients):
+        lin = span.linear(cls, 1)
+        want = [coeffs[i] if i < len(coeffs) else 0 for i in range(len(basis))]
+        assert [lin.coefficient(tuple(int(j == i) for j in range(span.nvars)))
+                for i in range(len(basis))] == want
+        assert len(lin.terms) == sum(1 for c in want if c)
+
+
+def test_span_linear_of_a_half_sum():
+    form = IntersectionForm(hyperbolic_gram(2))
+    v1, v2 = CohomologyClass((1, 1, 2, 0)), CohomologyClass((1, -1, 0, 2))
+    half = CohomologyClass((1, 0, 1, 1))  # (v1 + v2)/2
+    span = Span(form, [v1, v2, half])
+    assert span.basis == [v1, v2]
+    assert span.linear(half, 1) == TruncatedPolynomial(
+        4, 1, {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(1, 2)}
+    )
 
 
 def test_span_full_rank_quadratic_is_inverse_gram():
