@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import JacobiParams, ext_binomial, jacobi_at_zero
 from .errors import (
@@ -44,6 +44,7 @@ from .polyring import (
     Span,
     TruncatedPolynomial,
     _linear,
+    _sum_of_powers,
     constant,
     linear_form,
     quadratic_form,
@@ -257,6 +258,56 @@ class PairingValue:
     at_h: Fraction
 
 
+class _BracketClass(NamedTuple):
+    """A class's level-one bracket data, beta = c1 - t: <beta,h> as (terms,
+    den) in span variables, beta^2, beta.t, the Jacobi triple `jac` = (a, b, d),
+    and the integers p = 2^d P^(a,b)_d(0) and p1 = 2^d P^(a-1,b+1)_d(0)."""
+
+    bf: tuple
+    beta2: int
+    beta_t: int
+    jac: JacobiParams
+    p: int
+    p1: int
+
+
+def _bracket_class(
+    bf: tuple, beta2: int, beta_t: int, jac: JacobiParams
+) -> _BracketClass:
+    P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
+    p, p1 = ((x.numerator << jac.d) // x.denominator for x in (P, P1))
+    return _BracketClass(bf, beta2, beta_t, jac, p, p1)
+
+
+def _bracket_forms(span: Span, t: CohomologyClass) -> tuple:
+    """(1, <t,h>, Q(h)), each as (terms, den) in the span's variables."""
+    q = span.quadratic(2)
+    return ({(0,) * span.nvars: 1}, 1), span.linear_terms(t), (q.terms, q.den)
+
+
+def _bracket_walks(
+    cls: _BracketClass, forms: tuple, c1_sq: int, n: int, m: int, k: int, num: int,
+    den: int,
+) -> list:
+    """Walks (`polyring._sum_of_powers`) of num/den times the level-one bracket
+    A <beta,h>^deg + B <beta,h>^(deg-1) <t,h> + C <beta,h>^(deg-2) Q(h), deg =
+    n - k >= 0, A = a0 P + 2(beta.t) P1, B = 2 deg P1, C = 4 C(deg,2) P, a0 =
+    3 beta^2 + c1_sq + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi values of
+    `cls`, forms = _bracket_forms(span, t).  Ratio-free: the obstruction and
+    lattice cross terms carry P1, never P1/P.  Each term of <t,h> and Q(h)
+    shifts one walk over a power of <beta,h>: nothing is multiplied out."""
+    deg, (terms, bden) = n - k, cls.bf
+    a0 = 3 * cls.beta2 + c1_sq + 4 * n - 4 * m - 4 * comb(k + 1, 2)
+    coeffs = (a0 * cls.p + 2 * cls.beta_t * cls.p1, 2 * deg * cls.p1, 4 * comb(deg, 2) * cls.p)
+    den <<= cls.jac.d
+    return [
+        (terms, deg - j, e, num * coeff * c, den * bden ** (deg - j) * fden)
+        for j, (coeff, (form, fden)) in enumerate(zip(coeffs, forms))
+        if coeff  # B = 0 for deg < 1 and C = 0 for deg < 2
+        for e, c in form.items()
+    ]
+
+
 def level_one_bracket(
     X: FourManifoldData,
     span: Span,
@@ -267,36 +318,15 @@ def level_one_bracket(
     k: int,
     jac: JacobiParams,
 ) -> TruncatedPolynomial:
-    """The three-term level-one bracket with beta = c1 - t, homogeneous of
-    degree deg = n - k:
-
-        <beta,h>^(deg-j) (A <beta,h>^j + B <beta,h>^(j-1) <t,h> + C Q(h)),
-
-    j = min(deg, 2), A = a0 P + 2(beta.t) P1, B = 2 deg P1, C = 4 C(deg,2) P,
-    a0 = 3 beta^2 + c1^2(X) + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi
-    values at `jac` = (a, b, d) and (a-1, b+1, d).  Ratio-free: the
-    obstruction and lattice cross terms carry P1, never P1/P.  Factored, so
-    <beta,h> is raised to a power once; B = 0 for deg = 0 and C = 0 for
-    deg < 2.  `span` must contain c1 and t.
-    """
-    deg = n - k
-    if deg < 0:
+    """`_bracket_walks` for beta = c1 - t and `jac`, of bound deg = n - k, as
+    one polynomial; zero for deg < 0.  `span` must contain c1 and t."""
+    if n < k:
         return polyring.zero(span.nvars, 0)
-    # P and P1 share the denominator 2^d: work with p = 2^d P, p1 = 2^d P1.
-    d = jac.d
-    P = jacobi_at_zero(jac)
-    P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, d))
-    p, p1 = ((x.numerator << d) // x.denominator for x in (P, P1))
     beta = c1 - t
-    bf = span.linear(c1, deg) - span.linear(t, deg)
-    a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * n - 4 * m - 4 * comb(k + 1, 2)
-    top = Fraction(a0 * p + 2 * pair(X.form, beta, t) * p1, 1 << d)
-    inner = constant(top, span.nvars, deg)
-    if deg >= 1:
-        inner = top * bf + Fraction(2 * deg * p1, 1 << d) * span.linear(t, deg)
-    if deg >= 2:
-        inner = inner * bf + Fraction(4 * comb(deg, 2) * p, 1 << d) * span.quadratic(deg)
-    return bf ** (deg - min(deg, 2)) * inner
+    bf = span.linear_terms(c1, t)
+    cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
+    walks = _bracket_walks(cls, _bracket_forms(span, t), c1_squared(X), n, m, k, 1, 1)
+    return _sum_of_powers(span.nvars, n - k, walks)
 
 
 def _bracket_closed(inp: PairingInput, k: int, moment: int) -> TruncatedPolynomial:

@@ -7,7 +7,8 @@ operation is integer arithmetic with at most one gcd per result.
 `Fraction`s appear only at the boundary: constructor input, `coefficient`,
 `constant_term`, `evaluate`, `render`, scalars, and `Span`'s Gram inverse.
 `**` and `exp_series` generate their terms directly, without products of
-intermediate powers.
+intermediate powers: `_sum_of_powers` streams the walks of `_power_terms`,
+the one generator of the terms of p^n, shifted and scaled, into one dict.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -21,9 +22,10 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import comb, factorial, gcd, lcm, perm
 from operator import add as _add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from .lattice import CohomologyClass, IntersectionForm, pair
@@ -186,37 +188,11 @@ class TruncatedPolynomial:
         )
 
     def __pow__(self, n: int) -> "TruncatedPolynomial":
-        """self^n = sum_{|k|=n} n!/k! prod_t (c_t x^(e_t))^(k_t) / den^n, one pass
-        over the compositions k, each partial one dropped once no completion
-        fits the bound.  n < 0 goes via `inverse`."""
+        """self^n in one walk (`_power_terms`); n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return constant(1, self.nvars, self.bound)
-        # Sorted by degree, so a term too big for all that is left ends a walk.
-        items = [
-            (d, [(tuple(k * x for x in e), c**k) for k in range(n + 1)])
-            for d, e, c in sorted((sum(e), e, c) for e, c in self.terms.items())
-        ]
-        out: dict[tuple[int, ...], int] = {}
-
-        def extend(start: int, left: int, deg: int, expo: tuple, acc: int) -> None:
-            # The next nonzero k_t has t >= start; the last term takes the rest.
-            for t in range(start, len(items)):
-                d, steps = items[t]
-                if deg + left * d > self.bound:
-                    break
-                for k in range(left if t == len(items) - 1 else 1, left + 1):
-                    ke, ck = steps[k]
-                    key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
-                    if k == left:
-                        out[key] = out.get(key, 0) + value
-                    else:
-                        extend(t + 1, left - k, deg + k * d, key, value)
-
-        extend(0, n, 0, (0,) * self.nvars, 1)
-        terms = {e: c for e, c in out.items() if c}
-        return TruncatedPolynomial._fast(self.nvars, self.bound, terms, self.den**n)
+        walks = [(self.terms, n, (0,) * self.nvars, 1, self.den**n)]
+        return _sum_of_powers(self.nvars, self.bound, walks)
 
     # -- series operations ----------------------------------------------
 
@@ -353,6 +329,52 @@ class TruncatedPolynomial:
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
 
 
+def _power_terms(terms: Mapping, n: int, bound: int, expo: tuple, acc: int):
+    """The terms (expo + e, acc * c), keys possibly repeated, of acc x^expo p^n
+    through total degree `bound` (expo within it), p = sum_e terms[e] x^e: one
+    pass over the compositions k of n over p's terms (n!/k! prod_t terms_t^k_t
+    from running binomials), each dropped once no completion fits the bound."""
+    if n == 0:
+        yield expo, acc
+        return
+    # Sorted by degree, so a term too big for all that is left ends a walk.
+    items = [
+        (d, [(tuple([k * x for x in e]), c**k) for k in range(n + 1)])
+        for d, e, c in sorted((sum(e), e, c) for e, c in terms.items())
+    ]
+    last = len(items) - 1
+    # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
+    # and the last term takes the rest.
+    stack = [(0, n, sum(expo), expo, acc)]
+    while stack:
+        start, left, deg, expo, acc = stack.pop()
+        for t in range(start, last + 1):
+            d, steps = items[t]
+            if deg + left * d > bound:
+                break
+            for k in range(left if t == last else 1, left + 1):
+                ke, ck = steps[k]
+                key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
+                if k == left:
+                    yield key, value
+                else:
+                    stack.append((t + 1, left - k, deg + k * d, key, value))
+
+
+def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
+    """sum of num/den x^expo p^n, p = sum_e terms[e] x^e, over the walks
+    (terms, n, expo, num, den), den > 0: each walk streams its terms into
+    one dict over the lcm of the dens, truncated at `bound`."""
+    den = lcm(*(walk[4] for walk in walks))
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for terms, n, expo, num, wden in walks:
+        for key, c in _power_terms(terms, n, bound, expo, num * (den // wden)):
+            out[key] = get(key, 0) + c
+    clean = {e: c for e, c in out.items() if c}
+    return TruncatedPolynomial._fast(nvars, bound, clean, den)
+
+
 def zero(nvars: int, bound: int) -> TruncatedPolynomial:
     return TruncatedPolynomial(nvars, bound, {})
 
@@ -470,6 +492,7 @@ class Span:
                 self.nvars, 2, {(0,) * k + (1, 1): 1}
             )
         self._images: dict = {}
+        self._units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(k)]
 
     def _reduce(self, cls: CohomologyClass) -> tuple[list, list, int]:
         """(remainder, c, m), all integers with m > 0, such that
@@ -493,14 +516,29 @@ class Span:
 
     def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
         """<cls, h> in the variables x_i; cls must lie in the span."""
+        terms, den = self.linear_terms(cls)
+        return TruncatedPolynomial._fast(self.nvars, bound, terms if bound else {}, den)
+
+    def linear_terms(
+        self, cls: CohomologyClass, minus: Optional[CohomologyClass] = None
+    ) -> tuple[dict, int]:
+        """(terms, den) with <cls - minus, h> = sum_e terms[e] x^e / den, den > 0
+        (minus = 0 when omitted); both classes must lie in the span."""
+        nums, den = self._combo(cls)
+        if minus is not None:
+            sub, sub_den = self._combo(minus)
+            nums = [a * sub_den - b * den for a, b in zip_longest(nums, sub, fillvalue=0)]
+            den *= sub_den
+        return {e: c for e, c in zip(self._units, nums) if c}, den
+
+    def _combo(self, cls: CohomologyClass) -> tuple[list[int], int]:
         entry = self._combos.get(cls.coords)
         if entry is None:
             row, combo, m = self._reduce(cls)
             if any(row):
                 raise InputError(f"class {cls.coords} is not in the span")
             entry = self._combos[cls.coords] = _lowest_terms(combo, m)
-        nums, den = entry
-        return _linear(enumerate(nums), self.nvars, bound, den)
+        return entry
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:
         """Q(h): u*v while k < rank, x^T G^-1 x when k = rank."""

@@ -27,6 +27,7 @@ from .lattice import CohomologyClass, is_characteristic, pair, square
 from .manifold import (
     FourManifoldData,
     RAndIReport,
+    c1_squared,
     c_of_X,
     dim_sw,
     holomorphic_euler,
@@ -34,8 +35,8 @@ from .manifold import (
     require_odd_b_plus,
 )
 from . import polyring
-from .pairings import level_one_bracket
-from .polyring import Span, TruncatedPolynomial, linear_form
+from .pairings import _bracket_class, _bracket_forms, _bracket_walks
+from .polyring import Span, TruncatedPolynomial, _sum_of_powers, linear_form
 
 __all__ = [
     "WittenReport",
@@ -68,11 +69,13 @@ def _degree_residue(X: FourManifoldData, w2: int) -> int:
     return (-w2 - 3 * holomorphic_euler(X)) % 4
 
 
-def _signed_support(X: FourManifoldData, w: CohomologyClass, w2: int):
-    """(s, (-1)^((w^2 + c1(s).w)/2) SW(s)) for every s with SW(s) != 0."""
-    for s in X.support():
-        eps = _half(w2 + pair(X.form, s.c1, w), "w^2 + c1.w")
-        yield s, _sign_pow(eps) * s.sw
+def _signed_support(X: FourManifoldData, w: CohomologyClass) -> tuple[int, list]:
+    """(w^2, [(s, (-1)^((w^2 + c1(s).w)/2) SW(s)) for every s with SW(s) != 0])."""
+    w2 = square(X.form, w)
+    return w2, [
+        (s, _sign_pow(_half(w2 + pair(X.form, s.c1, w), "w^2 + c1.w")) * s.sw)
+        for s in X.support()
+    ]
 
 
 def _require_orthogonal(X: FourManifoldData, lam: CohomologyClass) -> None:
@@ -86,11 +89,9 @@ def _span(X: FourManifoldData, *extra: CohomologyClass) -> Span:
     return Span(X.form, [s.c1 for s in X.support()] + list(extra))
 
 
-def _sw_series(
-    span: Span, X: FourManifoldData, w: CohomologyClass, bound: int
-) -> TruncatedPolynomial:
+def _sw_series(span: Span, signed: list, bound: int) -> TruncatedPolynomial:
     out = polyring.zero(span.nvars, bound)
-    for s, signed_sw in _signed_support(X, w, square(X.form, w)):
+    for s, signed_sw in signed:
         out = out + signed_sw * span.linear(s.c1, bound).exp_series()
     return out
 
@@ -98,7 +99,7 @@ def _sw_series(
 def sw_series(X: FourManifoldData, w: CohomologyClass, bound: int) -> TruncatedPolynomial:
     """sum_s (-1)^((w^2 + c1(s).w)/2) SW(s) exp(<c1(s), h>), truncated."""
     span = _span(X)
-    return span.expand(_sw_series(span, X, w, bound))
+    return span.expand(_sw_series(span, _signed_support(X, w)[1], bound))
 
 
 def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
@@ -115,7 +116,7 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
     if d < 0:
         raise InputError("d must be non-negative")
     total = polyring.zero(X.form.rank, d)
-    for s, signed_sw in _signed_support(X, v, square(X.form, v)):
+    for s, signed_sw in _signed_support(X, v)[1]:
         total = total + signed_sw * linear_form(s.c1, X.form, d) ** d
     return total.is_zero()
 
@@ -140,29 +141,40 @@ def donaldson_moment(
     w_lam = w - lam
     if not is_characteristic(X.form, w_lam):
         raise HypothesisViolated("w - lam is not characteristic")
-    w2 = square(X.form, w)
+    w2, signed = _signed_support(X, w)
     if delta % 4 != _degree_residue(X, w2):
         return polyring.zero(X.form.rank, delta - 2 * m)
-    info = r_and_i(X, lam, X.basic_classes)
+    info = r_and_i(X, lam, X.support())
     if delta != info.r_min + 4:
         raise HypothesisViolated(
             f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
         )
-    level_one = _level_one_classes(X, w2, w_lam, info, delta)
-    return span.expand(_donaldson_moment(span, X, w2, lam, level_one, delta, m))
+    classes = _class_forms(span, lam, signed)
+    level_one = _level_one_classes(span, X, w2, lam, info, classes, delta)
+    return span.expand(_donaldson_moment(span, X, w2, level_one, delta, m))
+
+
+def _class_forms(span: Span, lam: CohomologyClass, signed: list) -> list:
+    """[(s, signed SW(s), <c1(s) - lam, h> as (terms, den))] over `signed`."""
+    return [(s, signed_sw, span.linear_terms(s.c1, lam)) for s, signed_sw in signed]
 
 
 def _level_one_classes(
+    span: Span,
     X: FourManifoldData,
     w2: int,
-    w_lam: CohomologyClass,
+    lam: CohomologyClass,
     info: RAndIReport,
+    classes: list,
     delta: int,
-) -> tuple[int, list]:
-    """Checks the level-one formula's hypotheses at delta and returns
-    (n_a, [(s, r_s, d, eps)]) for the classes that contribute there, with
-    n_a = (i(lam) - delta)/4, d = d_s/2 and eps = (w^2 + c1.(w-lam))/2.
-    None of it depends on m, so a moment table derives it once."""
+) -> tuple:
+    """Checks the level-one formula's hypotheses at delta and returns (n_a,
+    _bracket_forms(span, lam), [(r_s, num, <c1 - lam, h>, data)]) for the
+    classes there: n_a = (i(lam) - delta)/4, num = (-1)^((w^2 + c1.(w-lam))/2
+    + d) SW(s), d = d_s/2, data the `_BracketClass` (r_s = delta-4) or 2^d
+    P^(a-1,b)_d(0) (r_s = delta).  A moment table derives it once, with no
+    pairing: beta = c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s +
+    c1^2(X), and `info` (r_and_i over the support) gives r_s and lam^2."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
@@ -173,61 +185,53 @@ def _level_one_classes(
         )
     if (X.sigma - w2) % 2 != 0:
         raise NonIntegralExponent(f"(sigma - w^2)/2 not integral for w^2 = {w2}")
-    classes = []
-    for s, r_s in zip(X.basic_classes, info.per_class):
-        if s.sw == 0 or r_s not in (delta, delta - 4):
+    n_a, chi_h = (info.i_value - delta) // 4, holomorphic_euler(X)
+    lam2 = info.i_value - c_of_X(X) - X.chi - X.sigma
+    out = []
+    for (s, signed_sw, bf), r_s in zip(classes, info.per_class):
+        if r_s not in (delta, delta - 4):
             continue
         d_s = dim_sw(X, s)
         if d_s % 2 != 0:
             raise HypothesisViolated(f"odd d_s = {d_s} for {s.c1.coords}")
-        eps = _half(w2 + pair(X.form, s.c1, w_lam), "w^2 + c1.(w-lam)")
-        classes.append((s, r_s, d_s // 2, eps))
-    return (info.i_value - delta) // 4, classes
+        d, beta2 = d_s // 2, -r_s - 3 * chi_h
+        c1_lam = (4 * d_s + c1_squared(X) + lam2 - beta2) // 2
+        # signed_sw carries (-1)^((w^2 + c1.w)/2), and c1.w - c1.lam = c1.(w-lam).
+        num = _sign_pow(_half(c1_lam, "c1.lam") + d) * signed_sw
+        a, b = n_a - d, -d - chi_h
+        if r_s == delta:
+            P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
+            data = (P_top.numerator << d) // P_top.denominator
+        else:
+            data = _bracket_class(bf, beta2, c1_lam - lam2, JacobiParams(a, b, d))
+        out.append((r_s, num, bf, data))
+    return n_a, _bracket_forms(span, lam), out
 
 
 def _donaldson_moment(
-    span: Span,
-    X: FourManifoldData,
-    w2: int,
-    lam: CohomologyClass,
-    level_one: tuple[int, list],
-    delta: int,
-    m: int,
+    span: Span, X: FourManifoldData, w2: int, level_one: tuple, delta: int, m: int
 ) -> TruncatedPolynomial:
-    """Level-one formula, with w2 = w^2 and level_one = _level_one_classes."""
-    n_a, classes = level_one
+    """Level-one formula, with w2 = w^2 and level_one = _level_one_classes;
+    every class streams into the entry's one polynomial."""
+    n_a, forms, classes = level_one
     # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
     # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
-    # times (-1)^eps (-2)^d SW(s).
-    sign = m + (X.sigma - w2) // 2
-    n = delta - 2 * m
-    chi_h = holomorphic_euler(X)
-    out = polyring.zero(span.nvars, n)
-    for s, r_s, d, eps in classes:
-        a = n_a - d
-        b = -d - chi_h
-        num = _sign_pow(sign + eps + d) * s.sw
+    # times (-1)^eps (-2)^d SW(s); 2^d cancels the Jacobi values' 2^-d.
+    scale = _times_pow2(_sign_pow(m + (X.sigma - w2) // 2), 1 - n_a - delta)
+    n, den = delta - 2 * m, scale.denominator
+    walks = []
+    for r_s, num, (terms, bden), data in classes:
+        num *= scale.numerator
         if r_s == delta:
-            # The Jacobi value has denominator 2^d, which cancels (-2)^d.
-            P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
-            num *= (P_top.numerator << d) // P_top.denominator
-            bf = span.linear(s.c1, n) - span.linear(lam, n)
-            out = out + _times_pow2(num, 1 - n_a - delta) * bf**n
+            walks.append((terms, n, (0,) * span.nvars, num * data, den * bden**n))
         else:
-            jac = JacobiParams(a, b, d)
-            bracket = level_one_bracket(X, span, s.c1, lam, n, m, 0, jac)
-            out = out + _times_pow2(num, d + 1 - n_a - delta) * bracket
-    return out
+            d = data.jac.d
+            walks += _bracket_walks(data, forms, c1_squared(X), n, m, 0, num << d, den)
+    return _sum_of_powers(span.nvars, n, walks)
 
 
 def _moment_top_level(
-    span: Span,
-    X: FourManifoldData,
-    w: CohomologyClass,
-    w2: int,
-    lam: CohomologyClass,
-    delta: int,
-    m: int,
+    span: Span, X: FourManifoldData, lam: CohomologyClass, classes: list, delta: int, m: int
 ) -> TruncatedPolynomial:
     """Invariant at the lowest contributing degree delta = r(lam):
 
@@ -238,11 +242,13 @@ def _moment_top_level(
     if not X.is_simple_type():
         raise HypothesisViolated("top-level moment formula needs simple type")
     _require_orthogonal(X, lam)
-    n = delta - 2 * m
-    out = polyring.zero(span.nvars, n)
-    for s, signed_sw in _signed_support(X, w, w2):
-        out = out + signed_sw * (span.linear(s.c1, n) - span.linear(lam, n)) ** n
-    return _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X)) * out
+    n, zero = delta - 2 * m, (0,) * span.nvars
+    scale = _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X))
+    walks = [
+        (terms, n, zero, scale.numerator * signed_sw, scale.denominator * den**n)
+        for _, signed_sw, (terms, den) in classes
+    ]
+    return _sum_of_powers(span.nvars, n, walks)
 
 
 def _moments(
@@ -251,14 +257,16 @@ def _moments(
     w: CohomologyClass,
     lam: CohomologyClass,
     bound: int,
+    signed: Optional[tuple[int, list]] = None,
 ) -> dict[tuple[int, int], TruncatedPolynomial]:
-    """{(delta, m): D(h^(delta-2m) x^m)} for D(h^e) and D(h^e x), e <= bound.
+    """{(delta, m): D(h^(delta-2m) x^m)} for D(h^e) and D(h^e x), e <= bound,
+    with `signed` = _signed_support(X, w), derived here when not given.
 
     Only the moments the degree rule allows at or above r(lam) are entries;
     every other one is zero.  delta = r(lam) takes the level-zero formula,
     delta = r(lam)+4 the level-one one, and any higher delta raises
-    BoundTooHigh.  Derives w^2, w - lam, r(lam), the degree rule and the
-    level-one classes' data once per table.
+    BoundTooHigh.  Derives w - lam, r(lam), the degree rule, each class's
+    <c1 - lam, h> and the level-one classes' data once per table.
     Visits D(h^e) before D(h^e x) for e = 0..bound, so the first error
     raised does not depend on how the table is read.
     """
@@ -269,11 +277,11 @@ def _moments(
         )
     if bound < 0:
         raise InputError("bound must be non-negative")
-    info = r_and_i(X, lam, X.basic_classes)
-    w2 = square(X.form, w)
+    info = r_and_i(X, lam, X.support())
+    w2, signed = signed or _signed_support(X, w)
     residue = _degree_residue(X, w2)
-    w_lam = w - lam
-    characteristic = is_characteristic(X.form, w_lam)
+    characteristic = is_characteristic(X.form, w - lam)
+    classes = _class_forms(span, lam, signed)
     level_one = None
     table = {}
     for e in range(bound + 1):
@@ -281,13 +289,13 @@ def _moments(
             if delta < info.r_min or delta % 4 != residue:
                 continue
             if delta == info.r_min:
-                table[delta, m] = _moment_top_level(span, X, w, w2, lam, delta, m)
+                table[delta, m] = _moment_top_level(span, X, lam, classes, delta, m)
             elif delta == info.r_min + 4:
                 if not characteristic:
                     raise HypothesisViolated("w - lam is not characteristic")
                 if level_one is None:
-                    level_one = _level_one_classes(X, w2, w_lam, info, delta)
-                table[delta, m] = _donaldson_moment(span, X, w2, lam, level_one, delta, m)
+                    level_one = _level_one_classes(span, X, w2, lam, info, classes, delta)
+                table[delta, m] = _donaldson_moment(span, X, w2, level_one, delta, m)
             else:
                 raise BoundTooHigh(
                     f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "
@@ -508,9 +516,10 @@ def verify_witten(
 
     bound = c + 1
     span = _span(X, lam)
-    moments = _moments(span, X, w, lam, bound)
+    signed = _signed_support(X, w)
+    moments = _moments(span, X, w, lam, bound, signed)
     lhs = _assemble_donaldson_series(span, moments, bound)
-    sw = _sw_series(span, X, w, bound)
+    sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)
     rhs = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(

@@ -181,34 +181,75 @@ def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3):
         assert closed.at_h == raw.at_h
 
 
+def _bracket_reference(X, span, c1, t, n, m, k, jac):
+    """The three-term bracket sum with <beta,h>^deg, ^(deg-1) and ^(deg-2),
+    multiplied out with ring products."""
+    beta = c1 - t
+    P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
+    deg = n - k
+    bf = span.linear(c1, deg) - span.linear(t, deg)
+    a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * (n - m - comb(k + 1, 2))
+    value = (a0 * P + 2 * pair(X.form, beta, t) * P1) * bf**deg
+    if deg >= 1:
+        value += (2 * deg * P1) * (bf ** (deg - 1) * span.linear(t, deg))
+    if deg >= 2:
+        value += (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * span.quadratic(deg))
+    return value
+
+
+def _bracket_grid(X, span, c1, t, jac):
+    return {
+        (n, m, k): _bracket_reference(X, span, c1, t, n, m, k, jac)
+        for n in range(7)
+        for m in range(2)
+        for k in range(min(n, 2) + 1)
+    }
+
+
 def test_level_one_bracket_powers_beta_once(count_calls, synthetic_setups):
-    # The factored bracket raises <beta,h> to a power once; its value is the
-    # three-term sum with <beta,h>^deg, ^(deg-1) and ^(deg-2).
+    # The bracket generates each of its powers <beta,h>^deg, ^(deg-1) and
+    # ^(deg-2) once, as a walk shifted by the terms of <t,h> and Q(h), so it
+    # multiplies no two polynomials; its value is the three-term sum.
     X, t_prime, s = synthetic_setups["ds2"]
     c1, t = s.c1, t_prime.c1
-    beta = c1 - t
     span = Span(X.form, (c1, t))
     jac = JacobiParams(2, -3, 1)
-    P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(1, -2, 1))
-    assert P and P1
-    expected = {}
-    for n in range(7):
-        for m in range(2):
-            for k in range(min(n, 2) + 1):
-                deg = n - k
-                bf = span.linear(c1, deg) - span.linear(t, deg)
-                a0 = 3 * square(X.form, beta) + c1_squared(X) + 4 * (n - m - comb(k + 1, 2))
-                value = (a0 * P + 2 * pair(X.form, beta, t) * P1) * bf**deg
-                if deg >= 1:
-                    value += (2 * deg * P1) * (bf ** (deg - 1) * span.linear(t, deg))
-                if deg >= 2:
-                    value += (4 * comb(deg, 2) * P) * (bf ** (deg - 2) * span.quadratic(deg))
-                expected[n, m, k] = value
-    calls = count_calls(TruncatedPolynomial, "__pow__")
+    assert jacobi_at_zero(jac) and jacobi_at_zero(JacobiParams(1, -2, 1))
+    expected = _bracket_grid(X, span, c1, t, jac)
+    calls = count_calls(TruncatedPolynomial, "__mul__", "__pow__")
     for (n, m, k), value in expected.items():
         calls.clear()
         assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value
-        assert calls["__pow__"] == 1, (n, m, k, calls)
+        assert calls["__mul__"] == calls["__pow__"] == 0, (n, m, k, calls)
+
+
+def test_level_one_bracket_carries_span_denominators():
+    # The catalog's spans have k < rank and t a basis class, so Q(h) = u*v
+    # and <t,h> = x_t.  Here the streamed bracket must carry denominators:
+    # on H the span of v1, v2 is full rank and Q(h) = x^T G^-1 x =
+    # (x1^2 - x2^2)/2, and on 2H it is not; in both, (v1 + v2)/2 has
+    # coordinates (1/2, 1/2), as t or as c1.
+    from monolink.lattice import IntersectionForm
+    from monolink.manifold import FourManifoldData
+
+    from conftest import hyperbolic_gram
+
+    jac = JacobiParams(2, -3, 1)
+    for rank in (2, 4):
+        form = IntersectionForm(hyperbolic_gram(rank // 2))
+        X = FourManifoldData(f"{rank // 2}H", chi=4, sigma=0, form=form)
+        v1 = CohomologyClass((1, 1) + (0,) * (rank - 2))
+        v2 = CohomologyClass((1, -1) + (0,) * (rank - 2))
+        half = CohomologyClass((1, 0) + (0,) * (rank - 2))  # (v1 + v2)/2
+        span = Span(form, (v1, v2, half))
+        assert span.basis == [v1, v2] and span.full_rank == (rank == 2)
+        assert span.linear(half, 1).den == 2
+        assert span.quadratic(2).den == (2 if rank == 2 else 1)
+        for c1, t in ((v1, half), (half, v2), (v1, v2)):
+            for (n, m, k), value in _bracket_grid(X, span, c1, t, jac).items():
+                assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value, (
+                    rank, c1.coords, t.coords, n, m, k
+                )
 
 
 def test_pairing_input_derives_level_one_data_once(count_calls):
@@ -227,15 +268,16 @@ def test_pairing_input_derives_level_one_data_once(count_calls):
 def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
     # At delta = r(lam)+4 and t' = (lam, -delta - 3 chi_h, w) a level-one
     # class's pairing input stores (n_a - d, -d - chi_h, d), n_a =
-    # (i(lam) - delta)/4: the triple the Donaldson moment hands to the
-    # bracket for that class.
-    seen = {}
+    # (i(lam) - delta)/4: the triple the Donaldson moment derives for that
+    # class's bracket, which it tells apart by <c1 - lam, h>.
+    seen = []
+    bracket_class = witten._bracket_class
 
-    def spy(X, span, c1, t, n, m, k, jac):
-        seen[c1] = jac
-        return level_one_bracket(X, span, c1, t, n, m, k, jac)
+    def spy(bf, beta2, beta_t, jac):
+        seen.append((bf, jac))
+        return bracket_class(bf, beta2, beta_t, jac)
 
-    monkeypatch.setattr(witten, "level_one_bracket", spy)
+    monkeypatch.setattr(witten, "_bracket_class", spy)
     for fx in (k3, e3, e5):
         X = fx.manifold
         info = r_and_i(X, fx.lam, X.basic_classes)
@@ -244,10 +286,19 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
         t = SpinuData(c1=fx.lam, p1=-delta - 3 * chi_h, w=fx.w)
         level_one = [s for s in X.support() if level(X, t, s) == 1]
         assert level_one
+        span = witten._span(X, fx.lam)
+
+        def key(bf):
+            terms, den = bf
+            return frozenset(terms.items()), den
+
+        c1_of = {key(span.linear_terms(s.c1, fx.lam)): s.c1 for s in X.support()}
         for m in range(delta // 2 + 1):
             seen.clear()
             witten.donaldson_moment(X, fx.w, fx.lam, delta, m)
-            assert set(seen) == {s.c1 for s in level_one}
+            by_c1 = {c1_of[key(bf)]: jac for bf, jac in seen}
+            assert len(by_c1) == len(seen)
+            assert set(by_c1) == {s.c1 for s in level_one}
             for s in level_one:
                 inp = PairingInput(
                     X=X, t_prime=t, s=s, delta=delta, m=m,
@@ -255,7 +306,7 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
                 )
                 d = inp.d
                 assert inp.jacobi == JacobiParams(n_a - d, -d - chi_h, d)
-                assert seen[s.c1] == inp.jacobi
+                assert by_c1[s.c1] == inp.jacobi
 
 
 def test_pairing_homogeneity_and_sign_law(synthetic_setups):
