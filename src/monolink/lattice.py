@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
@@ -28,6 +29,15 @@ __all__ = [
 ]
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as ints; a float or Fraction raises InputError, never truncates."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InputError(f"{what} must be integers, got {values}") from None
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """An integral class, stored as coordinates in a fixed lattice basis."""
@@ -35,7 +45,7 @@ class CohomologyClass:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int]) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+        object.__setattr__(self, "coords", _integers(coords, "class coordinates"))
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         self._require_same_rank(other)
@@ -150,7 +160,7 @@ class IntersectionForm:
     b_minus: int = field(compare=False)
 
     def __init__(self, gram: Sequence[Sequence[int]], b_plus: Optional[int] = None) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(_integers(row, "gram entries") for row in gram)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("gram matrix must be square")

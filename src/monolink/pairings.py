@@ -59,7 +59,6 @@ __all__ = [
     "segre_coefficient_by_inversion",
     "segre_inversion_sweep",
     "instanton_pairing",
-    "level_one_bracket",
     "link_pairing_closed",
     "link_pairing_raw",
     "b0_coefficient",
@@ -308,37 +307,20 @@ def _bracket_walks(
     ]
 
 
-def level_one_bracket(
-    X: FourManifoldData,
-    span: Span,
-    c1: CohomologyClass,
-    t: CohomologyClass,
-    n: int,
-    m: int,
-    k: int,
-    jac: JacobiParams,
-) -> TruncatedPolynomial:
-    """`_bracket_walks` for beta = c1 - t and `jac`, of bound deg = n - k, as
-    one polynomial; zero for deg < 0.  `span` must contain c1 and t."""
-    if n < k:
-        return polyring.zero(span.nvars, 0)
-    beta = c1 - t
-    bf = span.linear_terms(c1, t)
-    cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
-    walks = _bracket_walks(cls, _bracket_forms(span, t), c1_squared(X), n, m, k, 1, 1)
-    return _sum_of_powers(span.nvars, n - k, walks)
-
-
-def _bracket_closed(inp: PairingInput, k: int, moment: int) -> TruncatedPolynomial:
+def _bracket_closed(inp: PairingInput, k: int, moment: int) -> PairingValue:
     """The level-one bracket for a pairing input with k exceptional slots,
-    times (-1)^(m+1+d) 2^(d-delta) and `moment`."""
-    n = inp.delta - 2 * inp.m
-    c1, t = inp.s.c1, inp.t_prime.c1
-    span = Span(inp.X.form, (c1, t))
-    bracket = level_one_bracket(inp.X, span, c1, t, n, inp.m, k, inp.jacobi)
+    times (-1)^(m+1+d) 2^(d-delta) and `moment`, as one `_sum_of_powers`."""
+    n, Q, c1, t = inp.delta - 2 * inp.m, inp.X.form, inp.s.c1, inp.t_prime.c1
+    if n < k:
+        return PairingValue(polyring.zero(Q.rank, 0), Fraction(0))
+    span, beta = Span(Q, (c1, t)), c1 - t
+    bf = span.linear_terms(c1, t)
+    cls = _bracket_class(bf, square(Q, beta), pair(Q, beta, t), inp.jacobi)
     sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
-    scale = Fraction(sign * moment << inp.d, 1 << inp.delta)
-    return span.expand(scale * bracket)
+    num, forms = sign * moment << inp.d, _bracket_forms(span, t)
+    walks = _bracket_walks(cls, forms, c1_squared(inp.X), n, inp.m, k, num, 1 << inp.delta)
+    poly = span.expand(_sum_of_powers(span.nvars, n - k, walks))
+    return PairingValue(poly, poly.evaluate(inp.h.coords))
 
 
 def link_pairing_closed(inp: PairingInput) -> PairingValue:
@@ -350,8 +332,7 @@ def link_pairing_closed(inp: PairingInput) -> PairingValue:
     P^{a-1,b+1}, which keeps the value finite when P^{a,b}(0) = 0 and makes
     the closed route agree exactly with the literal nested sum.
     """
-    poly = _bracket_closed(inp, k=0, moment=inp.moment())
-    return PairingValue(poly, poly.evaluate(inp.h.coords))
+    return _bracket_closed(inp, k=0, moment=inp.moment())
 
 
 def b0_coefficient(inp: PairingInput) -> Fraction:
@@ -449,13 +430,11 @@ def blow_up_pairing_closed(inp: PairingInput, k: int) -> PairingValue:
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    deg = max(inp.delta - 2 * inp.m - k, 0)
     if k % 2 == 1:
-        zero_poly = polyring.zero(inp.X.form.rank, deg)
-        return PairingValue(zero_poly, Fraction(0))
+        deg = max(inp.delta - 2 * inp.m - k, 0)
+        return PairingValue(polyring.zero(inp.X.form.rank, deg), Fraction(0))
     o_sign = orientation_sign(inp.X, inp.t_prime.w, inp.t_prime, inp.s)
-    poly = o_sign * _bracket_closed(inp, k=k, moment=inp.s.sw)
-    return PairingValue(poly, poly.evaluate(inp.h.coords))
+    return _bracket_closed(inp, k=k, moment=o_sign * inp.s.sw)
 
 
 def _restricted_linear_form(

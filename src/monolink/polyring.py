@@ -70,7 +70,7 @@ class TruncatedPolynomial:
     to nonzero ints and `den` (a plain attribute, not a field) is a positive
     int with gcd(den, *terms.values()) = 1, and den = 1 for the zero
     polynomial.  That form is unique, so `==` and `hash` compare exactly.
-    The constructor takes int or Fraction coefficients.
+    The constructor takes int or Fraction coefficients and checks every exponent.
     """
 
     nvars: int
@@ -81,12 +81,12 @@ class TruncatedPolynomial:
         _require_bound(self.bound)
         clean = {}
         for expo, coeff in self.terms.items():
-            if sum(expo) > self.bound:
-                continue
+            if len(expo) != self.nvars:
+                raise DimensionMismatch("exponent length != variable count")
+            if any(x < 0 for x in expo):
+                raise InputError(f"negative exponent in {tuple(expo)}")
             c = Fraction(coeff)
-            if c != 0:
-                if len(expo) != self.nvars:
-                    raise DimensionMismatch("exponent length != variable count")
+            if c != 0 and sum(expo) <= self.bound:
                 clean[tuple(expo)] = c
         nums, den = _over_common_den(clean.values())
         object.__setattr__(self, "terms", dict(zip(clean, nums)))
@@ -240,9 +240,6 @@ class TruncatedPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def homogeneous_part(self, d: int) -> "TruncatedPolynomial":
         if d < 0:

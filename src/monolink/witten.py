@@ -138,8 +138,7 @@ def donaldson_moment(
     span = _span(X, lam)
     if delta < 0 or m < 0 or 2 * m > delta:
         raise HypothesisViolated("need 0 <= 2m <= delta")
-    w_lam = w - lam
-    if not is_characteristic(X.form, w_lam):
+    if not is_characteristic(X.form, w - lam):
         raise HypothesisViolated("w - lam is not characteristic")
     w2, signed = _signed_support(X, w)
     if delta % 4 != _degree_residue(X, w2):
@@ -230,45 +229,25 @@ def _donaldson_moment(
     return _sum_of_powers(span.nvars, n, walks)
 
 
-def _moment_top_level(
-    span: Span, X: FourManifoldData, lam: CohomologyClass, classes: list, delta: int, m: int
-) -> TruncatedPolynomial:
-    """Invariant at the lowest contributing degree delta = r(lam):
-
-    2^(2-c) (-1)^(m+1) sum_s (-1)^((w^2+c1.w)/2) SW(s) <c1-lam, h>^(delta-2m),
-    valid for simple-type data with lam orthogonal to the support (checked
-    here).  `_moments`, its only caller, has checked the rest.
-    """
-    if not X.is_simple_type():
-        raise HypothesisViolated("top-level moment formula needs simple type")
-    _require_orthogonal(X, lam)
-    n, zero = delta - 2 * m, (0,) * span.nvars
-    scale = _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X))
-    walks = [
-        (terms, n, zero, scale.numerator * signed_sw, scale.denominator * den**n)
-        for _, signed_sw, (terms, den) in classes
-    ]
-    return _sum_of_powers(span.nvars, n, walks)
-
-
 def _moments(
     span: Span,
     X: FourManifoldData,
     w: CohomologyClass,
     lam: CohomologyClass,
     bound: int,
-    signed: Optional[tuple[int, list]] = None,
+    signed: tuple[int, list],
 ) -> dict[tuple[int, int], TruncatedPolynomial]:
     """{(delta, m): D(h^(delta-2m) x^m)} for D(h^e) and D(h^e x), e <= bound,
-    with `signed` = _signed_support(X, w), derived here when not given.
+    with `signed` = _signed_support(X, w).
 
     Only the moments the degree rule allows at or above r(lam) are entries;
-    every other one is zero.  delta = r(lam) takes the level-zero formula,
-    delta = r(lam)+4 the level-one one, and any higher delta raises
-    BoundTooHigh.  Derives w - lam, r(lam), the degree rule, each class's
-    <c1 - lam, h> and the level-one classes' data once per table.
-    Visits D(h^e) before D(h^e x) for e = 0..bound, so the first error
-    raised does not depend on how the table is read.
+    every other one is zero.  delta = r(lam) takes the level-zero formula
+    2^(2-c) (-1)^(m+1) sum_s (signed SW(s)) <c1-lam, h>^(delta-2m) (simple
+    type, lam orthogonal to the support), delta = r(lam)+4 the level-one one,
+    and any higher delta raises BoundTooHigh.  Derives w - lam, r(lam), the
+    degree rule, each class's <c1 - lam, h> and each level's data and
+    hypotheses once per table, visiting D(h^e) before D(h^e x) for e =
+    0..bound, so the first error raised does not depend on how it is read.
     """
     c = c_of_X(X)
     if bound > c + 1:
@@ -278,18 +257,27 @@ def _moments(
     if bound < 0:
         raise InputError("bound must be non-negative")
     info = r_and_i(X, lam, X.support())
-    w2, signed = signed or _signed_support(X, w)
+    w2, signed = signed
     residue = _degree_residue(X, w2)
     characteristic = is_characteristic(X.form, w - lam)
-    classes = _class_forms(span, lam, signed)
-    level_one = None
-    table = {}
+    classes, origin = _class_forms(span, lam, signed), (0,) * span.nvars
+    level_zero_checked, level_one, table = False, None, {}
     for e in range(bound + 1):
         for delta, m in ((e, 0), (e + 2, 1)):
             if delta < info.r_min or delta % 4 != residue:
                 continue
             if delta == info.r_min:
-                table[delta, m] = _moment_top_level(span, X, lam, classes, delta, m)
+                if not level_zero_checked:
+                    if not X.is_simple_type():
+                        raise HypothesisViolated("top-level moment formula needs simple type")
+                    _require_orthogonal(X, lam)
+                    level_zero_checked = True
+                n, scale = delta - 2 * m, _times_pow2(_sign_pow(m + 1), 2 - c)
+                num, den = scale.numerator, scale.denominator
+                walks = [
+                    (bf, n, origin, num * sw, den * bden**n) for _, sw, (bf, bden) in classes
+                ]
+                table[delta, m] = _sum_of_powers(span.nvars, n, walks)
             elif delta == info.r_min + 4:
                 if not characteristic:
                     raise HypothesisViolated("w - lam is not characteristic")
@@ -327,7 +315,7 @@ def assemble_donaldson_series(
     strata beyond level one and a silent zero would be unjustified.
     """
     span = _span(X, lam)
-    moments = _moments(span, X, w, lam, bound)
+    moments = _moments(span, X, w, lam, bound, _signed_support(X, w))
     return span.expand(_assemble_donaldson_series(span, moments, bound))
 
 
@@ -576,7 +564,9 @@ def sign_change_check(
     bound = c_of_X(X) + 1
     span = _span(X, lam)
     lhs, rhs = (
-        _assemble_donaldson_series(span, _moments(span, X, v, lam, bound), bound)
+        _assemble_donaldson_series(
+            span, _moments(span, X, v, lam, bound, _signed_support(X, v)), bound
+        )
         for v in (w_prime, w)
     )
     return lhs == factor * rhs

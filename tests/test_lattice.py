@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from monolink.errors import DimensionMismatch, NotDivisible, SearchExhausted
+from monolink.errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
 from monolink.lattice import (
     CohomologyClass,
     IntersectionForm,
@@ -50,6 +50,20 @@ def test_form_construction_checks():
         IntersectionForm([[0, 1], [1, 0]], b_plus=2)  # wrong inertia
     with pytest.raises(DimensionMismatch):
         IntersectionForm([[0, 1, 0], [1, 0, 0]])
+
+
+def test_non_integral_entries_raise_instead_of_truncating():
+    # A non-integral entry raises; it is never truncated toward zero.
+    with pytest.raises(InputError):
+        CohomologyClass([1.7, 2.2])
+    with pytest.raises(InputError):
+        0.5 * CohomologyClass([3, 4])
+    with pytest.raises(InputError):
+        CohomologyClass([Fraction(1, 2), 0])
+    with pytest.raises(InputError):
+        IntersectionForm([[1.5]])
+    assert (-2) * CohomologyClass([3, 4]) == CohomologyClass((-6, -8))
+    assert IntersectionForm([[1]]).gram == ((1,),)
 
 
 def test_signature(form_h, k3):

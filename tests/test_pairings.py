@@ -22,18 +22,20 @@ from monolink.manifold import (
 from monolink.pairings import (
     PairingInput,
     SegreInput,
+    _bracket_class,
+    _bracket_forms,
+    _bracket_walks,
     b0_coefficient,
     blow_up_pairing_closed,
     blow_up_pairing_polarized,
     instanton_pairing,
-    level_one_bracket,
     link_pairing_closed,
     link_pairing_raw,
     s_constants,
     segre_coefficient,
     segre_coefficient_by_inversion,
 )
-from monolink.polyring import Span, TruncatedPolynomial, quadratic_form
+from monolink.polyring import Span, TruncatedPolynomial, _sum_of_powers, quadratic_form
 
 from conftest import eta_for, max_delta
 
@@ -113,7 +115,7 @@ def test_k3_simple_type_bracket_degenerations(k3):
     inp_m1 = _k3_input(k3, m=1)
     closed = link_pairing_closed(inp_m1)
     # delta-2m = 0: bracket reduces to a0 alone
-    assert closed.polynomial.total_degree() == 0
+    assert closed.polynomial == closed.polynomial.homogeneous_part(0)
     assert link_pairing_raw(inp_m1).polynomial == closed.polynomial
 
 
@@ -197,6 +199,16 @@ def _bracket_reference(X, span, c1, t, n, m, k, jac):
     return value
 
 
+def _streamed_bracket(X, span, c1, t, n, m, k, jac):
+    """The bracket as the closed routes build it: one `_sum_of_powers` over
+    `_bracket_walks` for beta = c1 - t, of bound n - k."""
+    beta = c1 - t
+    bf = span.linear_terms(c1, t)
+    cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
+    walks = _bracket_walks(cls, _bracket_forms(span, t), c1_squared(X), n, m, k, 1, 1)
+    return _sum_of_powers(span.nvars, n - k, walks)
+
+
 def _bracket_grid(X, span, c1, t, jac):
     return {
         (n, m, k): _bracket_reference(X, span, c1, t, n, m, k, jac)
@@ -219,7 +231,7 @@ def test_level_one_bracket_powers_beta_once(count_calls, synthetic_setups):
     calls = count_calls(TruncatedPolynomial, "__mul__", "__pow__")
     for (n, m, k), value in expected.items():
         calls.clear()
-        assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value
+        assert _streamed_bracket(X, span, c1, t, n, m, k, jac) == value
         assert calls["__mul__"] == calls["__pow__"] == 0, (n, m, k, calls)
 
 
@@ -247,7 +259,7 @@ def test_level_one_bracket_carries_span_denominators():
         assert span.quadratic(2).den == (2 if rank == 2 else 1)
         for c1, t in ((v1, half), (half, v2), (v1, v2)):
             for (n, m, k), value in _bracket_grid(X, span, c1, t, jac).items():
-                assert level_one_bracket(X, span, c1, t, n, m, k, jac) == value, (
+                assert _streamed_bracket(X, span, c1, t, n, m, k, jac) == value, (
                     rank, c1.coords, t.coords, n, m, k
                 )
 
@@ -369,6 +381,26 @@ def test_blow_up_parity_and_polarization(synthetic_setups, k3):
             if k % 2 == 1:
                 assert closed.polynomial.is_zero()
                 assert polarized.polynomial.is_zero()
+
+
+def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
+    # Both closed routes fold the sign, the power of 2, the moment and the
+    # orientation sign into the bracket's walks, so neither makes a scalar
+    # pass over a polynomial.
+    X, t, s = synthetic_setups["ds2"]
+    h6 = CohomologyClass((1, 1, 0, 1, 0, 0))
+    top = max_delta(X, t)
+    cases = [_k3_input(k3, delta=2, m=0), _k3_input(k3, delta=2, m=1)] + [
+        PairingInput(X=X, t_prime=t, s=s, delta=delta, m=0, eta=top - delta, h=h6)
+        for delta in (2, 3, 4)
+    ]
+    calls = count_calls(TruncatedPolynomial, "__rmul__")
+    for inp in cases:
+        calls.clear()
+        assert not link_pairing_closed(inp).polynomial.is_zero()
+        for k in (0, 2, 4):
+            blow_up_pairing_closed(inp, k)
+        assert calls["__rmul__"] == 0, (inp.X.name, inp.delta, inp.m, calls)
 
 
 def test_blow_up_reduces_to_base_at_k_zero(k3):

@@ -275,6 +275,21 @@ def test_rejects_bad_exponent_length():
         TruncatedPolynomial(2, 3, {(1,): Fraction(1)})
 
 
+def test_rejects_bad_exponents_before_truncating():
+    # Every exponent is checked before the bound drops a term: a wrong-length
+    # one above the bound is an error, not a truncated term, and a negative
+    # one is never a term.
+    with pytest.raises(DimensionMismatch):
+        TruncatedPolynomial(2, 2, {(5, 0, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        TruncatedPolynomial(2, 2, {(1,): 0})
+    with pytest.raises(InputError):
+        TruncatedPolynomial(2, 3, {(-1, 2): 1})
+    with pytest.raises(InputError):
+        TruncatedPolynomial(2, 1, {(-1, 5): 1})
+    assert TruncatedPolynomial(2, 2, {(3, 0): 1, (1, 1): 0}).is_zero()
+
+
 def test_evaluate_wrong_length():
     with pytest.raises(DimensionMismatch):
         h1().evaluate((1,))
