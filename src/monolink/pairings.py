@@ -258,11 +258,11 @@ class PairingValue:
 
 
 class _BracketClass(NamedTuple):
-    """A class's level-one bracket data, beta = c1 - t: <beta,h> as (terms,
-    den) in span variables, beta^2, beta.t, the Jacobi triple `jac` = (a, b, d),
-    and the integers p = 2^d P^(a,b)_d(0) and p1 = 2^d P^(a-1,b+1)_d(0)."""
+    """A class's level-one bracket data, beta = c1 - t: <beta,h> in span
+    variables, beta^2, beta.t, the Jacobi triple `jac` = (a, b, d), and the
+    integers p = 2^d P^(a,b)_d(0) and p1 = 2^d P^(a-1,b+1)_d(0)."""
 
-    bf: tuple
+    bf: TruncatedPolynomial
     beta2: int
     beta_t: int
     jac: JacobiParams
@@ -271,7 +271,7 @@ class _BracketClass(NamedTuple):
 
 
 def _bracket_class(
-    bf: tuple, beta2: int, beta_t: int, jac: JacobiParams
+    bf: TruncatedPolynomial, beta2: int, beta_t: int, jac: JacobiParams
 ) -> _BracketClass:
     P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
     p, p1 = ((x.numerator << jac.d) // x.denominator for x in (P, P1))
@@ -279,9 +279,8 @@ def _bracket_class(
 
 
 def _bracket_forms(span: Span, t: CohomologyClass) -> tuple:
-    """(1, <t,h>, Q(h)), each as (terms, den) in the span's variables."""
-    q = span.quadratic(2)
-    return ({(0,) * span.nvars: 1}, 1), span.linear_terms(t), (q.terms, q.den)
+    """(1, <t,h>, Q(h)) in the span's variables."""
+    return constant(1, span.nvars, 2), span.linear(t, 2), span.quadratic(2)
 
 
 def _bracket_walks(
@@ -295,15 +294,15 @@ def _bracket_walks(
     `cls`, forms = _bracket_forms(span, t).  Ratio-free: the obstruction and
     lattice cross terms carry P1, never P1/P.  Each term of <t,h> and Q(h)
     shifts one walk over a power of <beta,h>: nothing is multiplied out."""
-    deg, (terms, bden) = n - k, cls.bf
+    deg = n - k
     a0 = 3 * cls.beta2 + c1_sq + 4 * n - 4 * m - 4 * comb(k + 1, 2)
     coeffs = (a0 * cls.p + 2 * cls.beta_t * cls.p1, 2 * deg * cls.p1, 4 * comb(deg, 2) * cls.p)
     den <<= cls.jac.d
     return [
-        (terms, deg - j, e, num * coeff * c, den * bden ** (deg - j) * fden)
-        for j, (coeff, (form, fden)) in enumerate(zip(coeffs, forms))
+        (cls.bf, deg - j, e, num * coeff * c, den * form.den)
+        for j, (coeff, form) in enumerate(zip(coeffs, forms))
         if coeff  # B = 0 for deg < 1 and C = 0 for deg < 2
-        for e, c in form.items()
+        for e, c in form.terms.items()
     ]
 
 
@@ -314,7 +313,7 @@ def _bracket_closed(inp: PairingInput, k: int, moment: int) -> PairingValue:
     if n < k:
         return PairingValue(polyring.zero(Q.rank, 0), Fraction(0))
     span, beta = Span(Q, (c1, t)), c1 - t
-    bf = span.linear_terms(c1, t)
+    bf = span.linear(c1, 1, t)
     cls = _bracket_class(bf, square(Q, beta), pair(Q, beta, t), inp.jacobi)
     sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
     num, forms = sign * moment << inp.d, _bracket_forms(span, t)

@@ -5,10 +5,11 @@ truncated at a total-degree bound.  A polynomial stores integer numerators
 over one positive common denominator `den`, in lowest terms, so every ring
 operation is integer arithmetic with at most one gcd per result.
 `Fraction`s appear only at the boundary: constructor input, `coefficient`,
-`constant_term`, `evaluate`, `render`, scalars, and `Span`'s Gram inverse.
-`**` and `exp_series` generate their terms directly, without products of
-intermediate powers: `_sum_of_powers` streams the walks of `_power_terms`,
-the one generator of the terms of p^n, shifted and scaled, into one dict.
+`constant_term`, `evaluate`, `render` and scalars; every input value must be
+an int or a Fraction, never a float.  `**` and `exp_series` generate their
+terms directly, without products of intermediate powers: `_sum_of_powers`
+streams the walks of `_power_terms`, the one generator of the terms of p^n,
+shifted and scaled, into one dict.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -28,7 +29,7 @@ from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
-from .lattice import CohomologyClass, IntersectionForm, pair
+from .lattice import CohomologyClass, IntersectionForm
 
 Scalar = Union[int, Fraction]
 
@@ -46,6 +47,13 @@ __all__ = [
 def _require_bound(bound: int) -> None:
     if bound < 0:
         raise InputError("degree bound must be non-negative")
+
+
+def _exact(value, what: str) -> Scalar:
+    """`value` itself if it is an int or a Fraction; InputError otherwise."""
+    if not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what} {value!r} is not an int or a Fraction")
+    return value
 
 
 def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
@@ -85,7 +93,7 @@ class TruncatedPolynomial:
                 raise DimensionMismatch("exponent length != variable count")
             if any(x < 0 for x in expo):
                 raise InputError(f"negative exponent in {tuple(expo)}")
-            c = Fraction(coeff)
+            c = _exact(coeff, "coefficient")
             if c != 0 and sum(expo) <= self.bound:
                 clean[tuple(expo)] = c
         nums, den = _over_common_den(clean.values())
@@ -148,9 +156,7 @@ class TruncatedPolynomial:
         return (-1) * self
 
     def __rmul__(self, k: Scalar) -> "TruncatedPolynomial":
-        if not isinstance(k, (int, Fraction)):
-            k = Fraction(k)
-        if k == 0:
+        if _exact(k, "scalar") == 0:
             return TruncatedPolynomial._fast(self.nvars, self.bound, {})
         num = k.numerator
         return TruncatedPolynomial._fast(
@@ -161,7 +167,7 @@ class TruncatedPolynomial:
         )
 
     def __mul__(self, other) -> "TruncatedPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedPolynomial):
             return self.__rmul__(other)
         bound = self._align(other)
         left = sorted(
@@ -191,7 +197,7 @@ class TruncatedPolynomial:
         """self^n in one walk (`_power_terms`); n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
-        walks = [(self.terms, n, (0,) * self.nvars, 1, self.den**n)]
+        walks = [(self, n, (0,) * self.nvars, 1, 1)]
         return _sum_of_powers(self.nvars, self.bound, walks)
 
     # -- series operations ----------------------------------------------
@@ -266,15 +272,16 @@ class TruncatedPolynomial:
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         if len(values) != self.nvars:
             raise DimensionMismatch("evaluation point has wrong length")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for expo, coeff in sorted(self.terms.items()):
-            prod = coeff
-            for v, e in zip(vals, expo):
+        # values_i = nums_i / d: a term of degree k times d^(top - k) is an int.
+        nums, d = _over_common_den(_exact(v, "value") for v in values)
+        top = max(map(sum, self.terms), default=0)
+        total = 0
+        for expo, c in self.terms.items():
+            for a, e in zip(nums, expo):
                 if e:
-                    prod *= v**e
-            total += prod
-        return total / self.den
+                    c *= a**e
+            total += c * d ** (top - sum(expo))
+        return Fraction(total, self.den * d**top)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPolynomial):
@@ -359,14 +366,16 @@ def _power_terms(terms: Mapping, n: int, bound: int, expo: tuple, acc: int):
 
 
 def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
-    """sum of num/den x^expo p^n, p = sum_e terms[e] x^e, over the walks
-    (terms, n, expo, num, den), den > 0: each walk streams its terms into
-    one dict over the lcm of the dens, truncated at `bound`."""
-    den = lcm(*(walk[4] for walk in walks))
+    """sum of num/den x^expo p^n over the walks (p, n, expo, num, den), p a
+    polynomial and num, den ints with den > 0: each walk streams its terms,
+    over den p.den^n, into one dict over the lcm of those, truncated at
+    `bound`."""
+    dens = [wden * p.den**n for p, n, _, _, wden in walks]
+    den = lcm(*dens)
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for terms, n, expo, num, wden in walks:
-        for key, c in _power_terms(terms, n, bound, expo, num * (den // wden)):
+    for (p, n, expo, num, _), wden in zip(walks, dens):
+        for key, c in _power_terms(p.terms, n, bound, expo, num * (den // wden)):
             out[key] = get(key, 0) + c
     clean = {e: c for e, c in out.items() if c}
     return TruncatedPolynomial._fast(nvars, bound, clean, den)
@@ -378,8 +387,7 @@ def zero(nvars: int, bound: int) -> TruncatedPolynomial:
 
 def constant(value: Scalar, nvars: int, bound: int) -> TruncatedPolynomial:
     _require_bound(bound)
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    value = _exact(value, "constant")
     terms = {(0,) * nvars: value.numerator} if value else {}
     return TruncatedPolynomial._fast(nvars, bound, terms, value.denominator)
 
@@ -393,23 +401,6 @@ def _linear(
         tuple(int(j == i) for j in range(nvars)): c for i, c in coeffs if c and bound
     }
     return TruncatedPolynomial._fast(nvars, bound, terms, den)
-
-
-def _quadratic(matrix: Sequence[Sequence[Scalar]], bound: int) -> TruncatedPolynomial:
-    """x^T M x for a symmetric rational matrix M."""
-    _require_bound(bound)
-    n = len(matrix)
-    nums, den = _over_common_den(x for row in matrix for x in row)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            c = nums[i * n + j]
-            if c and bound >= 2:
-                expo = [0] * n
-                expo[i] += 1
-                expo[j] += 1
-                terms[tuple(expo)] = c if i == j else 2 * c
-    return TruncatedPolynomial._fast(n, bound, terms, den)
 
 
 def variable(i: int, nvars: int, bound: int) -> TruncatedPolynomial:
@@ -427,8 +418,15 @@ def linear_form(
 
 
 def quadratic_form(Q: IntersectionForm, bound: int) -> TruncatedPolynomial:
-    """Degree-two polynomial Q(h, h) = h^T gram h."""
-    return _quadratic(Q.gram, bound)
+    """Degree-two polynomial Q(h, h) = h^T gram h, from the Gram rows' nonzeros."""
+    _require_bound(bound)
+    terms = {}
+    for i, row in enumerate(Q._rows if bound >= 2 else ()):
+        for j, g in row:
+            if j >= i:
+                expo = tuple(int(x == i) + int(x == j) for x in range(Q.rank))
+                terms[expo] = g if i == j else 2 * g
+    return TruncatedPolynomial._fast(Q.rank, bound, terms)
 
 
 class Span:
@@ -441,15 +439,15 @@ class Span:
     Q(h) is the monomial u*v, so the ordinary total-degree truncation is
     the truncation in h.  `linear`, `quadratic` and the ring operations
     never leave the subring Q[x, uv]; `expand` maps it back to the h-basis.
+    When k = rank the variables are h itself: `linear` is `linear_form`,
+    `quadratic` is `quadratic_form` and `expand` returns its argument.
 
     Exactness: when k < rank, Q(h) is not a polynomial in the k forms x_i,
     because its rank exceeds k.  The field Q(x) is algebraically closed in
     Q(h), so Q(h) is transcendental over Q(x), and x^a (uv)^b ->
     prod <v_i,h>^(a_i) Q(h)^b is an injective graded ring map
     Q[x, uv] -> Q[h].  Equality and `is_zero` in the reduced ring are
-    therefore exact, not a test at random points.  When k = rank the x_i are
-    a basis of the linear forms, there are no u, v, and Q(h) = x^T G^-1 x
-    with G the Gram matrix of v_1..v_k (inverted in Fractions, only then).
+    therefore exact, not a test at random points.
     """
 
     def __init__(
@@ -481,9 +479,7 @@ class Span:
         self.full_rank = k == form.rank
         self.nvars = k if self.full_rank else k + 2
         if self.full_rank:
-            gram = [[Fraction(pair(form, a, b)) for b in self.basis]
-                    for a in self.basis]
-            self._quadratic_poly = _quadratic(_inverse(gram), 2)
+            self._quadratic_poly = quadratic_form(form, 2)
         else:
             self._quadratic_poly = TruncatedPolynomial._fast(
                 self.nvars, 2, {(0,) * k + (1, 1): 1}
@@ -511,24 +507,23 @@ class Span:
                     combo[i] += t * b
         return row, combo, m
 
-    def linear(self, cls: CohomologyClass, bound: int) -> TruncatedPolynomial:
-        """<cls, h> in the variables x_i; cls must lie in the span."""
-        terms, den = self.linear_terms(cls)
-        return TruncatedPolynomial._fast(self.nvars, bound, terms if bound else {}, den)
-
-    def linear_terms(
-        self, cls: CohomologyClass, minus: Optional[CohomologyClass] = None
-    ) -> tuple[dict, int]:
-        """(terms, den) with <cls - minus, h> = sum_e terms[e] x^e / den, den > 0
-        (minus = 0 when omitted); both classes must lie in the span."""
+    def linear(
+        self, cls: CohomologyClass, bound: int, minus: Optional[CohomologyClass] = None
+    ) -> TruncatedPolynomial:
+        """<cls - minus, h> in the span's variables (minus = 0 when omitted);
+        both classes must lie in the span."""
         nums, den = self._combo(cls)
         if minus is not None:
             sub, sub_den = self._combo(minus)
             nums = [a * sub_den - b * den for a, b in zip_longest(nums, sub, fillvalue=0)]
             den *= sub_den
-        return {e: c for e, c in zip(self._units, nums) if c}, den
+        terms = {e: c for e, c in zip(self._units, nums) if c and bound}
+        return TruncatedPolynomial._fast(self.nvars, bound, terms, den)
 
-    def _combo(self, cls: CohomologyClass) -> tuple[list[int], int]:
+    def _combo(self, cls: CohomologyClass) -> tuple[Sequence[int], int]:
+        """(nums, den): <cls, h> = sum_i nums_i x_i / den."""
+        if self.full_rank:
+            return self.form.apply(cls), 1
         entry = self._combos.get(cls.coords)
         if entry is None:
             row, combo, m = self._reduce(cls)
@@ -538,7 +533,7 @@ class Span:
         return entry
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:
-        """Q(h): u*v while k < rank, x^T G^-1 x when k = rank."""
+        """Q(h): u*v while k < rank, `quadratic_form` when k = rank."""
         return self._quadratic_poly.truncate(bound)
 
     def expand(self, p: TruncatedPolynomial) -> TruncatedPolynomial:
@@ -547,15 +542,14 @@ class Span:
             raise DimensionMismatch(
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
+        if self.full_rank:
+            return p
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for expo, c in p.terms.items():
-            a = expo[: self.k]
-            b = 0
-            if not self.full_rank:
-                b, b_v = expo[self.k :]
-                if b != b_v:
-                    raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
+            a, (b, b_v) = expo[: self.k], expo[self.k :]
+            if b != b_v:
+                raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
             # The images are products of <v_i,h> and Q(h), whose coefficients
             # come from the integer Gram matrix, so their den is 1.
             for e, d in self._image(a, b).terms.items():
@@ -590,21 +584,3 @@ class Span:
             self._images[(a, b)] = img
         return img
 
-
-def _inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular rational matrix by Gauss-Jordan elimination."""
-    n = len(m)
-    aug = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = 1 / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

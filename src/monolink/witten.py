@@ -154,8 +154,8 @@ def donaldson_moment(
 
 
 def _class_forms(span: Span, lam: CohomologyClass, signed: list) -> list:
-    """[(s, signed SW(s), <c1(s) - lam, h> as (terms, den))] over `signed`."""
-    return [(s, signed_sw, span.linear_terms(s.c1, lam)) for s, signed_sw in signed]
+    """[(s, signed SW(s), <c1(s) - lam, h>)] over `signed`."""
+    return [(s, signed_sw, span.linear(s.c1, 1, lam)) for s, signed_sw in signed]
 
 
 def _level_one_classes(
@@ -219,10 +219,10 @@ def _donaldson_moment(
     scale = _times_pow2(_sign_pow(m + (X.sigma - w2) // 2), 1 - n_a - delta)
     n, den = delta - 2 * m, scale.denominator
     walks = []
-    for r_s, num, (terms, bden), data in classes:
+    for r_s, num, bf, data in classes:
         num *= scale.numerator
         if r_s == delta:
-            walks.append((terms, n, (0,) * span.nvars, num * data, den * bden**n))
+            walks.append((bf, n, (0,) * span.nvars, num * data, den))
         else:
             d = data.jac.d
             walks += _bracket_walks(data, forms, c1_squared(X), n, m, 0, num << d, den)
@@ -274,9 +274,7 @@ def _moments(
                     level_zero_checked = True
                 n, scale = delta - 2 * m, _times_pow2(_sign_pow(m + 1), 2 - c)
                 num, den = scale.numerator, scale.denominator
-                walks = [
-                    (bf, n, origin, num * sw, den * bden**n) for _, sw, (bf, bden) in classes
-                ]
+                walks = [(bf, n, origin, num * sw, den) for _, sw, bf in classes]
                 table[delta, m] = _sum_of_powers(span.nvars, n, walks)
             elif delta == info.r_min + 4:
                 if not characteristic:

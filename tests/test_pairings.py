@@ -203,7 +203,7 @@ def _streamed_bracket(X, span, c1, t, n, m, k, jac):
     """The bracket as the closed routes build it: one `_sum_of_powers` over
     `_bracket_walks` for beta = c1 - t, of bound n - k."""
     beta = c1 - t
-    bf = span.linear_terms(c1, t)
+    bf = span.linear(c1, 1, t)
     cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
     walks = _bracket_walks(cls, _bracket_forms(span, t), c1_squared(X), n, m, k, 1, 1)
     return _sum_of_powers(span.nvars, n - k, walks)
@@ -238,9 +238,9 @@ def test_level_one_bracket_powers_beta_once(count_calls, synthetic_setups):
 def test_level_one_bracket_carries_span_denominators():
     # The catalog's spans have k < rank and t a basis class, so Q(h) = u*v
     # and <t,h> = x_t.  Here the streamed bracket must carry denominators:
-    # on H the span of v1, v2 is full rank and Q(h) = x^T G^-1 x =
-    # (x1^2 - x2^2)/2, and on 2H it is not; in both, (v1 + v2)/2 has
-    # coordinates (1/2, 1/2), as t or as c1.
+    # on 2H the span of v1, v2 is not full rank and (v1 + v2)/2 has
+    # coordinates (1/2, 1/2), as t or as c1.  On H the span is full rank,
+    # its variables are h itself and every form has den 1.
     from monolink.lattice import IntersectionForm
     from monolink.manifold import FourManifoldData
 
@@ -255,8 +255,8 @@ def test_level_one_bracket_carries_span_denominators():
         half = CohomologyClass((1, 0) + (0,) * (rank - 2))  # (v1 + v2)/2
         span = Span(form, (v1, v2, half))
         assert span.basis == [v1, v2] and span.full_rank == (rank == 2)
-        assert span.linear(half, 1).den == 2
-        assert span.quadratic(2).den == (2 if rank == 2 else 1)
+        assert span.linear(half, 1).den == (1 if rank == 2 else 2)
+        assert span.quadratic(2).den == 1
         for c1, t in ((v1, half), (half, v2), (v1, v2)):
             for (n, m, k), value in _bracket_grid(X, span, c1, t, jac).items():
                 assert _streamed_bracket(X, span, c1, t, n, m, k, jac) == value, (
@@ -299,16 +299,11 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
         level_one = [s for s in X.support() if level(X, t, s) == 1]
         assert level_one
         span = witten._span(X, fx.lam)
-
-        def key(bf):
-            terms, den = bf
-            return frozenset(terms.items()), den
-
-        c1_of = {key(span.linear_terms(s.c1, fx.lam)): s.c1 for s in X.support()}
+        c1_of = {span.linear(s.c1, 1, fx.lam): s.c1 for s in X.support()}
         for m in range(delta // 2 + 1):
             seen.clear()
             witten.donaldson_moment(X, fx.w, fx.lam, delta, m)
-            by_c1 = {c1_of[key(bf)]: jac for bf, jac in seen}
+            by_c1 = {c1_of[bf]: jac for bf, jac in seen}
             assert len(by_c1) == len(seen)
             assert set(by_c1) == {s.c1 for s in level_one}
             for s in level_one:

@@ -290,6 +290,33 @@ def test_rejects_bad_exponents_before_truncating():
     assert TruncatedPolynomial(2, 2, {(3, 0): 1, (1, 1): 0}).is_zero()
 
 
+def test_rejects_inexact_scalars():
+    # A float is never rounded into a coefficient: 0.1 would become
+    # 3602879701896397/36028797018963968.
+    p = h1()
+    for make in (
+        lambda: TruncatedPolynomial(1, 1, {(1,): 0.1}),
+        lambda: 0.5 * p,
+        lambda: p * 0.5,
+        lambda: constant(0.1, 1, 1),
+        lambda: p.evaluate((0.5, 1)),
+    ):
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            make()
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == TruncatedPolynomial(
+        2, 4, {(1, 0): Fraction(1, 2)}
+    )
+
+
+@given(small_polys(), st.lists(st.fractions(max_denominator=5), min_size=2, max_size=2))
+def test_evaluate_at_rational_points(p, point):
+    want = sum(
+        (p.coefficient(e) * point[0] ** e[0] * point[1] ** e[1] for e in p.terms),
+        Fraction(0),
+    )
+    assert p.evaluate(point) == want
+
+
 def test_evaluate_wrong_length():
     with pytest.raises(DimensionMismatch):
         h1().evaluate((1,))

@@ -235,6 +235,9 @@ def test_span_linear_matches_fraction_gauss_jordan(data):
     assert span.basis == basis
     for cls, coeffs in zip(classes, coefficients):
         lin = span.linear(cls, 1)
+        if span.full_rank:  # the variables are h itself
+            assert lin == linear_form(cls, form, 1)
+            continue
         want = [coeffs[i] if i < len(coeffs) else 0 for i in range(len(basis))]
         assert [lin.coefficient(tuple(int(j == i) for j in range(span.nvars)))
                 for i in range(len(basis))] == want
@@ -252,13 +255,18 @@ def test_span_linear_of_a_half_sum():
     )
 
 
-def test_span_full_rank_quadratic_is_inverse_gram():
-    # Basis (1,2), (0,1) of H: Gram [[4,1],[1,0]], inverse [[0,1],[1,-4]].
+def test_span_full_rank_is_the_h_basis():
+    # Basis (1,2), (0,1) of H: the span's variables are h1, h2 themselves.
     form = IntersectionForm(hyperbolic_gram(1))
-    span = Span(form, [CohomologyClass((1, 2)), CohomologyClass((0, 1))])
-    assert span.nvars == 2
-    assert span.quadratic(2) == TruncatedPolynomial(2, 2, {(1, 1): 2, (0, 2): -4})
-    assert span.expand(span.quadratic(3)) == quadratic_form(form, 3)
+    a, b = CohomologyClass((1, 2)), CohomologyClass((0, 1))
+    span = Span(form, [a, b])
+    assert span.full_rank and span.nvars == 2
+    for cls in (a, b, a - 3 * b, CohomologyClass((5, -7))):
+        assert span.linear(cls, 3) == linear_form(cls, form, 3)
+        assert span.linear(cls, 2, b) == linear_form(cls - b, form, 2)
+    assert span.quadratic(3) == quadratic_form(form, 3)
+    p = span.linear(a, 3) ** 2 + Fraction(1, 3) * span.quadratic(3)
+    assert span.expand(p) is p
 
 
 def test_span_rejects_what_it_cannot_express():
