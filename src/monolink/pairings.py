@@ -191,9 +191,9 @@ class PairingInput:
     at level one in it); delta, m, eta satisfy the degree bookkeeping
     2(delta+eta) = dim(ambient moduli / circle) - 1, checked on build.
 
-    Building derives, once and cross-checked, `d` = d_s/2, the Jacobi
-    triple `jacobi` = (a, b, d) and the split structure's normal indices
-    `normal` = (n', n''): plain attributes, not fields, so not in `==`.
+    Building derives, once, `d` = d_s/2, the Jacobi triple `jacobi` =
+    (a, b, d) and the split structure's normal indices `normal` = (n', n''):
+    plain attributes, not fields, so not in `==`.
     """
 
     X: FourManifoldData
@@ -226,16 +226,12 @@ class PairingInput:
         a = self.eta - d + 1
         # d_a = -2 p1 - 6 chi_h is even, so b = delta - d_a/2 - d - chi_h is integral.
         b = self.delta - d_a // 2 - d - holomorphic_euler(self.X)
-        # Independent route through the split structure's normal indices.
+        # The split structure's normal indices; n'' raises if not integral.
         t = self.t_prime
-        n1, n2 = normal_indices(self.X, SpinuData(c1=t.c1, p1=t.p1 + 4, w=t.w), self.s)
-        if a != 3 + n1 + n2 - self.delta or b != self.delta - n1 - 4 - d:
-            raise HypothesisViolated(
-                "inconsistent input: degree bookkeeping and normal indices disagree"
-            )
+        normal = normal_indices(self.X, SpinuData(c1=t.c1, p1=t.p1 + 4, w=t.w), self.s)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "jacobi", JacobiParams(a, b, d))
-        object.__setattr__(self, "normal", (n1, n2))
+        object.__setattr__(self, "normal", normal)
 
     def moment(self) -> int:
         """<mu^d, [M_s]>: the recorded moment, or the invariant when d = 0."""
@@ -259,50 +255,51 @@ class PairingValue:
 
 class _BracketClass(NamedTuple):
     """A class's level-one bracket data, beta = c1 - t: <beta,h> in span
-    variables, beta^2, beta.t, the Jacobi triple `jac` = (a, b, d), and the
+    variables, beta^2, beta.t and, for its Jacobi triple (a, b, d), the
     integers p = 2^d P^(a,b)_d(0) and p1 = 2^d P^(a-1,b+1)_d(0)."""
 
     bf: TruncatedPolynomial
     beta2: int
     beta_t: int
-    jac: JacobiParams
     p: int
     p1: int
+
+
+def _pow2_jacobi(jac: JacobiParams) -> int:
+    """The integer 2^d P^(a,b)_d(0) for jac = (a, b, d)."""
+    P = jacobi_at_zero(jac)
+    return (P.numerator << jac.d) // P.denominator
 
 
 def _bracket_class(
     bf: TruncatedPolynomial, beta2: int, beta_t: int, jac: JacobiParams
 ) -> _BracketClass:
-    P, P1 = jacobi_at_zero(jac), jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
-    p, p1 = ((x.numerator << jac.d) // x.denominator for x in (P, P1))
-    return _BracketClass(bf, beta2, beta_t, jac, p, p1)
+    p1 = _pow2_jacobi(JacobiParams(jac.a - 1, jac.b + 1, jac.d))
+    return _BracketClass(bf, beta2, beta_t, _pow2_jacobi(jac), p1)
 
 
 def _bracket_forms(span: Span, t: CohomologyClass) -> tuple:
-    """(1, <t,h>, Q(h)) in the span's variables."""
-    return constant(1, span.nvars, 2), span.linear(t, 2), span.quadratic(2)
+    """The walk factors (None for 1, <t,h>, Q(h)) in the span's variables."""
+    return None, span.linear(t, 2), span.quadratic(2)
 
 
 def _bracket_walks(
     cls: _BracketClass, forms: tuple, c1_sq: int, n: int, m: int, k: int, num: int,
     den: int,
 ) -> list:
-    """Walks (`polyring._sum_of_powers`) of num/den times the level-one bracket
+    """At most three walks (`polyring._sum_of_powers`), each a power of
+    <beta,h> times a form, of num/den times the level-one bracket in p units
     A <beta,h>^deg + B <beta,h>^(deg-1) <t,h> + C <beta,h>^(deg-2) Q(h), deg =
-    n - k >= 0, A = a0 P + 2(beta.t) P1, B = 2 deg P1, C = 4 C(deg,2) P, a0 =
-    3 beta^2 + c1_sq + 4n - 4m - 4 C(k+1,2), P and P1 the Jacobi values of
-    `cls`, forms = _bracket_forms(span, t).  Ratio-free: the obstruction and
-    lattice cross terms carry P1, never P1/P.  Each term of <t,h> and Q(h)
-    shifts one walk over a power of <beta,h>: nothing is multiplied out."""
+    n - k >= 0, A = a0 p + 2(beta.t) p1, B = 2 deg p1, C = 4 C(deg,2) p, a0 =
+    3 beta^2 + c1_sq + 4n - 4m - 4 C(k+1,2), p = 2^d P and p1 = 2^d P1 from
+    `cls`, forms = _bracket_forms(span, t).  Ratio-free: no p1/p."""
     deg = n - k
     a0 = 3 * cls.beta2 + c1_sq + 4 * n - 4 * m - 4 * comb(k + 1, 2)
     coeffs = (a0 * cls.p + 2 * cls.beta_t * cls.p1, 2 * deg * cls.p1, 4 * comb(deg, 2) * cls.p)
-    den <<= cls.jac.d
     return [
-        (cls.bf, deg - j, e, num * coeff * c, den * form.den)
+        (cls.bf, deg - j, form, num * coeff, den)
         for j, (coeff, form) in enumerate(zip(coeffs, forms))
         if coeff  # B = 0 for deg < 1 and C = 0 for deg < 2
-        for e, c in form.terms.items()
     ]
 
 
@@ -316,7 +313,7 @@ def _bracket_closed(inp: PairingInput, k: int, moment: int) -> PairingValue:
     bf = span.linear(c1, 1, t)
     cls = _bracket_class(bf, square(Q, beta), pair(Q, beta, t), inp.jacobi)
     sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
-    num, forms = sign * moment << inp.d, _bracket_forms(span, t)
+    num, forms = sign * moment, _bracket_forms(span, t)
     walks = _bracket_walks(cls, forms, c1_squared(inp.X), n, inp.m, k, num, 1 << inp.delta)
     poly = span.expand(_sum_of_powers(span.nvars, n - k, walks))
     return PairingValue(poly, poly.evaluate(inp.h.coords))

@@ -8,8 +8,8 @@ operation is integer arithmetic with at most one gcd per result.
 `constant_term`, `evaluate`, `render` and scalars; every input value must be
 an int or a Fraction, never a float.  `**` and `exp_series` generate their
 terms directly, without products of intermediate powers: `_sum_of_powers`
-streams the walks of `_power_terms`, the one generator of the terms of p^n,
-shifted and scaled, into one dict.
+streams walks num/den f p^n, the terms of p^n from `_power_terms`, their
+one generator, times a polynomial factor f, into one dict.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -197,8 +197,7 @@ class TruncatedPolynomial:
         """self^n in one walk (`_power_terms`); n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
-        walks = [(self, n, (0,) * self.nvars, 1, 1)]
-        return _sum_of_powers(self.nvars, self.bound, walks)
+        return _sum_of_powers(self.nvars, self.bound, [(self, n, None, 1, 1)])
 
     # -- series operations ----------------------------------------------
 
@@ -333,13 +332,14 @@ class TruncatedPolynomial:
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
 
 
-def _power_terms(terms: Mapping, n: int, bound: int, expo: tuple, acc: int):
-    """The terms (expo + e, acc * c), keys possibly repeated, of acc x^expo p^n
-    through total degree `bound` (expo within it), p = sum_e terms[e] x^e: one
-    pass over the compositions k of n over p's terms (n!/k! prod_t terms_t^k_t
-    from running binomials), each dropped once no completion fits the bound."""
+def _power_terms(terms: Mapping, n: int, bound: int, starts: list):
+    """The terms (expo + e, acc * c), keys possibly repeated, of the sum of
+    acc x^expo p^n over `starts` = [(expo, acc)] through total degree `bound`
+    (each expo within it), p = sum_e terms[e] x^e: one power table, then per
+    start one pass over the compositions k of n over p's terms (n!/k! prod_t
+    terms_t^k_t from running binomials), cut once no completion fits."""
     if n == 0:
-        yield expo, acc
+        yield from starts
         return
     # Sorted by degree, so a term too big for all that is left ends a walk.
     items = [
@@ -349,7 +349,7 @@ def _power_terms(terms: Mapping, n: int, bound: int, expo: tuple, acc: int):
     last = len(items) - 1
     # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
     # and the last term takes the rest.
-    stack = [(0, n, sum(expo), expo, acc)]
+    stack = [(0, n, sum(expo), expo, acc) for expo, acc in starts]
     while stack:
         start, left, deg, expo, acc = stack.pop()
         for t in range(start, last + 1):
@@ -366,16 +366,19 @@ def _power_terms(terms: Mapping, n: int, bound: int, expo: tuple, acc: int):
 
 
 def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
-    """sum of num/den x^expo p^n over the walks (p, n, expo, num, den), p a
-    polynomial and num, den ints with den > 0: each walk streams its terms,
-    over den p.den^n, into one dict over the lcm of those, truncated at
+    """sum of num/den f p^n over the walks (p, n, f, num, den), p a polynomial,
+    f a polynomial within `bound` or None for 1, and num, den ints with den >
+    0: the terms of f seed one `_power_terms` walk, which streams its terms,
+    over den f.den p.den^n, into one dict over the lcm of those, truncated at
     `bound`."""
-    dens = [wden * p.den**n for p, n, _, _, wden in walks]
-    den = lcm(*dens)
+    dens = [wden * p.den**n * (1 if f is None else f.den) for p, n, f, _, wden in walks]
+    den, origin = lcm(*dens), (0,) * nvars
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for (p, n, expo, num, _), wden in zip(walks, dens):
-        for key, c in _power_terms(p.terms, n, bound, expo, num * (den // wden)):
+    for (p, n, f, num, _), wden in zip(walks, dens):
+        acc = num * (den // wden)
+        starts = [(origin, acc)] if f is None else [(e, acc * c) for e, c in f.terms.items()]
+        for key, c in _power_terms(p.terms, n, bound, starts):
             out[key] = get(key, 0) + c
     clean = {e: c for e, c in out.items() if c}
     return TruncatedPolynomial._fast(nvars, bound, clean, den)

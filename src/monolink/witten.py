@@ -14,7 +14,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .combinatorics import JacobiParams, jacobi_at_zero
+from .combinatorics import JacobiParams
 from .errors import (
     BoundTooHigh,
     HypothesisViolated,
@@ -35,7 +35,7 @@ from .manifold import (
     require_odd_b_plus,
 )
 from . import polyring
-from .pairings import _bracket_class, _bracket_forms, _bracket_walks
+from .pairings import _bracket_class, _bracket_forms, _bracket_walks, _pow2_jacobi
 from .polyring import Span, TruncatedPolynomial, _sum_of_powers, linear_form
 
 __all__ = [
@@ -140,40 +140,27 @@ def donaldson_moment(
         raise HypothesisViolated("need 0 <= 2m <= delta")
     if not is_characteristic(X.form, w - lam):
         raise HypothesisViolated("w - lam is not characteristic")
-    w2, signed = _signed_support(X, w)
-    if delta % 4 != _degree_residue(X, w2):
+    signed = _signed_support(X, w)
+    if delta % 4 != _degree_residue(X, signed[0]):
         return polyring.zero(X.form.rank, delta - 2 * m)
     info = r_and_i(X, lam, X.support())
     if delta != info.r_min + 4:
         raise HypothesisViolated(
             f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
         )
-    classes = _class_forms(span, lam, signed)
-    level_one = _level_one_classes(span, X, w2, lam, info, classes, delta)
-    return span.expand(_donaldson_moment(span, X, w2, level_one, delta, m))
-
-
-def _class_forms(span: Span, lam: CohomologyClass, signed: list) -> list:
-    """[(s, signed SW(s), <c1(s) - lam, h>)] over `signed`."""
-    return [(s, signed_sw, span.linear(s.c1, 1, lam)) for s, signed_sw in signed]
+    return span.expand(_moments(span, X, w, lam, signed, [(delta, m)])[delta, m])
 
 
 def _level_one_classes(
-    span: Span,
-    X: FourManifoldData,
-    w2: int,
-    lam: CohomologyClass,
-    info: RAndIReport,
-    classes: list,
-    delta: int,
-) -> tuple:
-    """Checks the level-one formula's hypotheses at delta and returns (n_a,
-    _bracket_forms(span, lam), [(r_s, num, <c1 - lam, h>, data)]) for the
-    classes there: n_a = (i(lam) - delta)/4, num = (-1)^((w^2 + c1.(w-lam))/2
-    + d) SW(s), d = d_s/2, data the `_BracketClass` (r_s = delta-4) or 2^d
-    P^(a-1,b)_d(0) (r_s = delta).  A moment table derives it once, with no
-    pairing: beta = c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s +
-    c1^2(X), and `info` (r_and_i over the support) gives r_s and lam^2."""
+    X: FourManifoldData, w2: int, info: RAndIReport, classes: list, delta: int
+) -> list:
+    """Checks the level-one formula's hypotheses at delta and returns [(r_s,
+    num, <c1 - lam, h>, data)] for the classes there: num = (-1)^((w^2 +
+    c1.(w-lam))/2 + d) SW(s), d = d_s/2, data the `_BracketClass` (r_s =
+    delta-4) or 2^d P^(a-1,b)_d(0) (r_s = delta), a = (i(lam) - delta)/4 - d,
+    b = -d - chi_h.  A moment table derives it once, with no pairing: beta =
+    c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s + c1^2(X), and `info`
+    (r_and_i over the support) gives r_s and lam^2."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
@@ -199,56 +186,16 @@ def _level_one_classes(
         num = _sign_pow(_half(c1_lam, "c1.lam") + d) * signed_sw
         a, b = n_a - d, -d - chi_h
         if r_s == delta:
-            P_top = jacobi_at_zero(JacobiParams(a - 1, b, d))
-            data = (P_top.numerator << d) // P_top.denominator
+            data = _pow2_jacobi(JacobiParams(a - 1, b, d))
         else:
             data = _bracket_class(bf, beta2, c1_lam - lam2, JacobiParams(a, b, d))
         out.append((r_s, num, bf, data))
-    return n_a, _bracket_forms(span, lam), out
+    return out
 
 
-def _donaldson_moment(
-    span: Span, X: FourManifoldData, w2: int, level_one: tuple, delta: int, m: int
-) -> TruncatedPolynomial:
-    """Level-one formula, with w2 = w^2 and level_one = _level_one_classes;
-    every class streams into the entry's one polynomial."""
-    n_a, forms, classes = level_one
-    # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
-    # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
-    # times (-1)^eps (-2)^d SW(s); 2^d cancels the Jacobi values' 2^-d.
-    scale = _times_pow2(_sign_pow(m + (X.sigma - w2) // 2), 1 - n_a - delta)
-    n, den = delta - 2 * m, scale.denominator
-    walks = []
-    for r_s, num, bf, data in classes:
-        num *= scale.numerator
-        if r_s == delta:
-            walks.append((bf, n, (0,) * span.nvars, num * data, den))
-        else:
-            d = data.jac.d
-            walks += _bracket_walks(data, forms, c1_squared(X), n, m, 0, num << d, den)
-    return _sum_of_powers(span.nvars, n, walks)
-
-
-def _moments(
-    span: Span,
-    X: FourManifoldData,
-    w: CohomologyClass,
-    lam: CohomologyClass,
-    bound: int,
-    signed: tuple[int, list],
-) -> dict[tuple[int, int], TruncatedPolynomial]:
-    """{(delta, m): D(h^(delta-2m) x^m)} for D(h^e) and D(h^e x), e <= bound,
-    with `signed` = _signed_support(X, w).
-
-    Only the moments the degree rule allows at or above r(lam) are entries;
-    every other one is zero.  delta = r(lam) takes the level-zero formula
-    2^(2-c) (-1)^(m+1) sum_s (signed SW(s)) <c1-lam, h>^(delta-2m) (simple
-    type, lam orthogonal to the support), delta = r(lam)+4 the level-one one,
-    and any higher delta raises BoundTooHigh.  Derives w - lam, r(lam), the
-    degree rule, each class's <c1 - lam, h> and each level's data and
-    hypotheses once per table, visiting D(h^e) before D(h^e x) for e =
-    0..bound, so the first error raised does not depend on how it is read.
-    """
+def _series_keys(X: FourManifoldData, bound: int) -> list[tuple[int, int]]:
+    """The moments (delta, m) of D(h^e) and D(h^e x), e = 0..bound, in that
+    order; BoundTooHigh above c(X)+1, the level-one range, InputError below 0."""
     c = c_of_X(X)
     if bound > c + 1:
         raise BoundTooHigh(
@@ -256,37 +203,71 @@ def _moments(
         )
     if bound < 0:
         raise InputError("bound must be non-negative")
+    return [key for e in range(bound + 1) for key in ((e, 0), (e + 2, 1))]
+
+
+def _moments(
+    span: Span,
+    X: FourManifoldData,
+    w: CohomologyClass,
+    lam: CohomologyClass,
+    signed: tuple[int, list],
+    keys: list[tuple[int, int]],
+) -> dict[tuple[int, int], TruncatedPolynomial]:
+    """{(delta, m): D(h^(delta-2m) x^m)} over `keys`, with `signed` =
+    _signed_support(X, w).
+
+    Only the moments the degree rule allows at or above r(lam) are entries;
+    every other one is zero.  delta = r(lam) takes the level-zero formula
+    2^(2-c) (-1)^(m+1) sum_s (signed SW(s)) <c1-lam, h>^(delta-2m) (simple
+    type, lam orthogonal to the support), delta = r(lam)+4 the level-one one,
+    and any higher delta raises BoundTooHigh.  Derives w - lam, r(lam), the
+    degree rule, each class's <c1 - lam, h> and each level's data and
+    hypotheses once per table, visiting the keys in order, so the first
+    error raised does not depend on how the table is read.  Every class of
+    an entry streams into its one polynomial.
+    """
     info = r_and_i(X, lam, X.support())
     w2, signed = signed
     residue = _degree_residue(X, w2)
     characteristic = is_characteristic(X.form, w - lam)
-    classes, origin = _class_forms(span, lam, signed), (0,) * span.nvars
-    level_zero_checked, level_one, table = False, None, {}
-    for e in range(bound + 1):
-        for delta, m in ((e, 0), (e + 2, 1)):
-            if delta < info.r_min or delta % 4 != residue:
-                continue
-            if delta == info.r_min:
-                if not level_zero_checked:
-                    if not X.is_simple_type():
-                        raise HypothesisViolated("top-level moment formula needs simple type")
-                    _require_orthogonal(X, lam)
-                    level_zero_checked = True
-                n, scale = delta - 2 * m, _times_pow2(_sign_pow(m + 1), 2 - c)
-                num, den = scale.numerator, scale.denominator
-                walks = [(bf, n, origin, num * sw, den) for _, sw, bf in classes]
-                table[delta, m] = _sum_of_powers(span.nvars, n, walks)
-            elif delta == info.r_min + 4:
-                if not characteristic:
-                    raise HypothesisViolated("w - lam is not characteristic")
-                if level_one is None:
-                    level_one = _level_one_classes(span, X, w2, lam, info, classes, delta)
-                table[delta, m] = _donaldson_moment(span, X, w2, level_one, delta, m)
+    classes = [(s, signed_sw, span.linear(s.c1, 1, lam)) for s, signed_sw in signed]
+    level_zero, level_one, table = None, None, {}
+    for delta, m in keys:
+        if delta < info.r_min or delta % 4 != residue:
+            continue
+        if delta == info.r_min:
+            if level_zero is None:
+                if not X.is_simple_type():
+                    raise HypothesisViolated("top-level moment formula needs simple type")
+                _require_orthogonal(X, lam)
+                # Each class walks signed SW(s) <c1 - lam, h>^n, as a top class does.
+                level_zero = [(delta, signed_sw, bf, 1) for _, signed_sw, bf in classes]
+            entry, scale = level_zero, _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X))
+        elif delta == info.r_min + 4:
+            if not characteristic:
+                raise HypothesisViolated("w - lam is not characteristic")
+            if level_one is None:
+                level_one = _level_one_classes(X, w2, info, classes, delta)
+                n_a, forms = (info.i_value - delta) // 4, _bracket_forms(span, lam)
+            # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
+            # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
+            # times (-1)^eps (-2)^d SW(s), (-1)^d in num and 2^d in p = 2^d P.
+            entry = level_one
+            scale = _times_pow2(_sign_pow(m + (X.sigma - w2) // 2), 1 - n_a - delta)
+        else:
+            raise BoundTooHigh(
+                f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "
+                "data; only levels zero and one are computable"
+            )
+        n, den, walks = delta - 2 * m, scale.denominator, []
+        for r_s, num, bf, data in entry:
+            num *= scale.numerator
+            if r_s == delta:
+                walks.append((bf, n, None, num * data, den))
             else:
-                raise BoundTooHigh(
-                    f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "
-                    "data; only levels zero and one are computable"
-                )
+                walks += _bracket_walks(data, forms, c1_squared(X), n, m, 0, num, den)
+        table[delta, m] = _sum_of_powers(span.nvars, n, walks)
     return table
 
 
@@ -313,7 +294,7 @@ def assemble_donaldson_series(
     strata beyond level one and a silent zero would be unjustified.
     """
     span = _span(X, lam)
-    moments = _moments(span, X, w, lam, bound, _signed_support(X, w))
+    moments = _moments(span, X, w, lam, _signed_support(X, w), _series_keys(X, bound))
     return span.expand(_assemble_donaldson_series(span, moments, bound))
 
 
@@ -503,7 +484,7 @@ def verify_witten(
     bound = c + 1
     span = _span(X, lam)
     signed = _signed_support(X, w)
-    moments = _moments(span, X, w, lam, bound, signed)
+    moments = _moments(span, X, w, lam, signed, _series_keys(X, bound))
     lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)
@@ -563,7 +544,8 @@ def sign_change_check(
     span = _span(X, lam)
     lhs, rhs = (
         _assemble_donaldson_series(
-            span, _moments(span, X, v, lam, bound, _signed_support(X, v)), bound
+            span, _moments(span, X, v, lam, _signed_support(X, v), _series_keys(X, bound)),
+            bound,
         )
         for v in (w_prime, w)
     )

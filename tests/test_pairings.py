@@ -201,11 +201,13 @@ def _bracket_reference(X, span, c1, t, n, m, k, jac):
 
 def _streamed_bracket(X, span, c1, t, n, m, k, jac):
     """The bracket as the closed routes build it: one `_sum_of_powers` over
-    `_bracket_walks` for beta = c1 - t, of bound n - k."""
+    `_bracket_walks` for beta = c1 - t, of bound n - k, divided by 2^d to
+    turn the walks' p = 2^d P units into the reference's P units."""
     beta = c1 - t
     bf = span.linear(c1, 1, t)
     cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
-    walks = _bracket_walks(cls, _bracket_forms(span, t), c1_squared(X), n, m, k, 1, 1)
+    forms = _bracket_forms(span, t)
+    walks = _bracket_walks(cls, forms, c1_squared(X), n, m, k, 1, 1 << jac.d)
     return _sum_of_powers(span.nvars, n - k, walks)
 
 

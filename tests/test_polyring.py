@@ -2,12 +2,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monolink.errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from monolink.lattice import CohomologyClass, IntersectionForm, blow_up, pair
 from monolink.polyring import (
     TruncatedPolynomial,
+    _sum_of_powers,
     constant,
     linear_form,
     quadratic_form,
@@ -133,6 +134,48 @@ def test_pow_and_exp_match_fraction_oracle(nv_terms, n, bound):
     ):
         assert as_fractions(got) == want
         assert_canonical(got)
+
+
+_HALF_X_PLUS_Y = {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 3), (0, 1): Fraction(5, 4)}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            fraction_dicts(2),
+            st.integers(0, 5),
+            st.none() | fraction_dicts(2),
+            st.integers(-9, 9),
+            st.integers(1, 12),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 6),
+)
+@example([({(1, 0): 2, (0, 1): Fraction(-1, 3)}, n, None, 3, 4) for n in range(6)], 5)
+@example(
+    [
+        ({(0, 0): Fraction(1, 2), (1, 1): 3}, n, _HALF_X_PLUS_Y, -5, 6)
+        for n in range(6)
+    ],
+    6,
+)
+def test_sum_of_powers_matches_fraction_oracle(walk_inputs, bound):
+    # Walks (p, n, f, num, den) with mixed n, f None (for 1) or a polynomial
+    # with several terms, a denominator and a constant term: the sum of
+    # num/den f p^n, truncated at bound.
+    walks, want = [], {}
+    for p_in, n, f_in, num, den in walk_inputs:
+        f = None if f_in is None else TruncatedPolynomial(2, bound, f_in)
+        walks.append((TruncatedPolynomial(2, bound, p_in), n, f, num, den))
+        term = ref_pow(ref_clean(p_in, bound), n, 2, bound)
+        if f_in is not None:
+            term = ref_mul(ref_clean(f_in, bound), term, bound)
+        want = ref_add(want, {e: Fraction(num, den) * c for e, c in term.items()}, bound)
+    got = _sum_of_powers(2, bound, walks)
+    assert as_fractions(got) == want
+    assert_canonical(got)
 
 
 @pytest.mark.parametrize("n", range(8))

@@ -296,15 +296,16 @@ def test_verify_products_stay_in_the_span(monkeypatch, e3, e5):
 
 
 def test_verify_computes_each_moment_once(count_calls, e3, e5):
-    # The assembly and both coefficient identities read one moment table:
-    # the two level-one moments at delta = c, and the table's one r(lam).
-    calls = count_calls(witten, "_donaldson_moment")
+    # The assembly and both coefficient identities read one moment table,
+    # each of whose entries streams once: the two level-one moments at
+    # delta = c, on e5 the level-zero one at delta = 1, and one r(lam).
+    calls = count_calls(witten, "_sum_of_powers")
     count_calls(manifold, "r_and_i")
-    for fx in (e3, e5):
+    for fx, entries in ((e3, 2), (e5, 3)):
         calls.clear()
         report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
         assert report.passed
-        assert calls["_donaldson_moment"] == 2, (fx.manifold.name, calls)
+        assert calls["_sum_of_powers"] == entries, (fx.manifold.name, calls)
         assert calls["r_and_i"] == 1, (fx.manifold.name, calls)
 
 
