@@ -139,29 +139,33 @@ def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
             C(A-v,i) C(d+3-v-i-j, d-i-j) C(M,k) C(N,j-k)
 
     with no algebraic simplification (zero factors are merely skipped).
+    The sums run j outside i, so each Segre coefficient
+    S_j = sum_k 2^k C(M,k) C(N,j-k) is formed once, not once per i: a
+    reordering of the same finite sum of exact integers, O(d^2) lookups
+    instead of O(d^3).
     """
     if d < 0:
         raise InputError("d must be non-negative")
     if v not in (0, 1, 2, 3):
         raise InputError("v must lie in 0..3")
     total = 0
-    for i in range(d + 1):
-        bi = ext_binomial(A - v, i)
-        if not bi:
+    for j in range(d + 1):
+        s_j = 0
+        for k in range(j + 1):
+            bm = ext_binomial(M, k)
+            if bm:
+                bn = ext_binomial(N, j - k)
+                if bn:
+                    s_j += (bm * bn) << k
+        if not s_j:
             continue
-        for j in range(d - i + 1):
-            bj = ext_binomial(d + 3 - v - i - j, d - i - j)
-            if not bj:
+        for i in range(d - j + 1):
+            bi = ext_binomial(A - v, i)
+            if not bi:
                 continue
-            inner = 0
-            for k in range(j + 1):
-                bm = ext_binomial(M, k)
-                if bm:
-                    bn = ext_binomial(N, j - k)
-                    if bn:
-                        inner += (bm * bn) << k
-            if inner:
-                term = (bi * bj * inner) << (d - j)
+            bj = ext_binomial(d + 3 - v - i - j, d - i - j)
+            if bj:
+                term = (bi * bj * s_j) << (d - j)
                 total += -term if (i + j) & 1 else term
     return Fraction(total)
 

@@ -148,7 +148,7 @@ def donaldson_moment(
         raise HypothesisViolated(
             f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
         )
-    return span.expand(_moments(span, X, w, lam, signed, [(delta, m)])[delta, m])
+    return span.expand(_moments(span, X, w, lam, signed, [(delta, m)], info)[delta, m])
 
 
 def _level_one_classes(
@@ -213,9 +213,11 @@ def _moments(
     lam: CohomologyClass,
     signed: tuple[int, list],
     keys: list[tuple[int, int]],
+    checked: Optional[RAndIReport] = None,
 ) -> dict[tuple[int, int], TruncatedPolynomial]:
     """{(delta, m): D(h^(delta-2m) x^m)} over `keys`, with `signed` =
-    _signed_support(X, w).
+    _signed_support(X, w).  `checked` is r_and_i(X, lam, X.support()) from
+    a caller that has already checked w - lam characteristic.
 
     Only the moments the degree rule allows at or above r(lam) are entries;
     every other one is zero.  delta = r(lam) takes the level-zero formula
@@ -227,10 +229,9 @@ def _moments(
     error raised does not depend on how the table is read.  Every class of
     an entry streams into its one polynomial.
     """
-    info = r_and_i(X, lam, X.support())
+    info = checked or r_and_i(X, lam, X.support())
     w2, signed = signed
     residue = _degree_residue(X, w2)
-    characteristic = is_characteristic(X.form, w - lam)
     classes = [(s, signed_sw, span.linear(s.c1, 1, lam)) for s, signed_sw in signed]
     level_zero, level_one, table = None, None, {}
     for delta, m in keys:
@@ -245,9 +246,9 @@ def _moments(
                 level_zero = [(delta, signed_sw, bf, 1) for _, signed_sw, bf in classes]
             entry, scale = level_zero, _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X))
         elif delta == info.r_min + 4:
-            if not characteristic:
-                raise HypothesisViolated("w - lam is not characteristic")
             if level_one is None:
+                if not (checked or is_characteristic(X.form, w - lam)):
+                    raise HypothesisViolated("w - lam is not characteristic")
                 level_one = _level_one_classes(X, w2, info, classes, delta)
                 n_a, forms = (info.i_value - delta) // 4, _bracket_forms(span, lam)
             # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)

@@ -130,6 +130,44 @@ def test_triple_sum_identity_sample(A, M, N, d, v):
     assert triple_sum_lhs(A, M, N, d, v) == rhs
 
 
+def _binomial(r, ell):
+    """C(r, ell) = r(r-1)...(r-ell+1)/ell! for any integer r, 0 for ell < 0."""
+    if ell < 0:
+        return 0
+    num = den = 1
+    for t in range(ell):
+        num *= r - t
+        den *= t + 1
+    return num // den
+
+
+def _triple_sum_oracle(A, M, N, d, v):
+    # The docstring's sum term by term, i outside j outside k, no skips.
+    return sum(
+        (-1) ** (i + j)
+        * 2 ** (d - j + k)
+        * _binomial(A - v, i)
+        * _binomial(d + 3 - v - i - j, d - i - j)
+        * _binomial(M, k)
+        * _binomial(N, j - k)
+        for i in range(d + 1)
+        for j in range(d - i + 1)
+        for k in range(j + 1)
+    )
+
+
+def test_triple_sum_matches_literal_oracle():
+    # Every v and the degrees 0, 1, 2, 5, 8 over a stride of the
+    # fuzz-identities box A in [-6, 10], |M|, |N| <= 6, edges included.
+    for A in range(-6, 11, 4):
+        for M in range(-6, 7, 3):
+            for N in range(-6, 7, 3):
+                for d in (0, 1, 2, 5, 8):
+                    for v in range(4):
+                        got = triple_sum_lhs(A, M, N, d, v)
+                        assert got == _triple_sum_oracle(A, M, N, d, v), (A, M, N, d, v)
+
+
 def test_two_power_collapse_when_defined():
     # (-2)^d (4-A-M)_d / (A+M-3-d)_d = 2^d whenever the denominator is nonzero.
     for A in range(-5, 6):

@@ -309,6 +309,14 @@ def test_verify_computes_each_moment_once(count_calls, e3, e5):
         assert calls["r_and_i"] == 1, (fx.manifold.name, calls)
 
 
+def test_donaldson_moment_derives_r_and_i_once(count_calls, e3):
+    # The public checks derive r(lam) and check w - lam characteristic; the
+    # moment table reads that report instead of deriving both again.
+    calls = count_calls(manifold, "r_and_i")
+    assert not donaldson_moment(e3.manifold, e3.w, e3.lam, 3, 0).is_zero()
+    assert calls["r_and_i"] == 1, calls
+
+
 def test_verify_derives_each_invariant_once(count_calls, k3, e3, e5):
     # w^2, w - lam, r(lam, c1), the degree rule and each class's d_s are
     # derived once per check, and the characteristic condition is checked by
