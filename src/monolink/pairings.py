@@ -11,6 +11,8 @@ enforces this.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -23,7 +25,7 @@ from .errors import (
     JacobiZeroDivide,
     MissingMoment,
 )
-from .lattice import CohomologyClass, IntersectionForm, pair, square
+from .lattice import CohomologyClass, pair, square
 from .manifold import (
     FourManifoldData,
     SpincData,
@@ -433,98 +435,60 @@ def blow_up_pairing_closed(inp: PairingInput, k: int) -> PairingValue:
     return _bracket_closed(inp, k=k, moment=o_sign * inp.s.sw)
 
 
-def _restricted_linear_form(
-    cls_on_blowup: CohomologyClass,
-    blown_form: IntersectionForm,
-    base_rank: int,
-    bound: int,
-) -> TruncatedPolynomial:
-    """<beta, h> for h ranging over the un-blown lattice only."""
-    row = blown_form.apply(cls_on_blowup)[:base_rank]
-    return _linear(enumerate(row), base_rank, bound)
-
-
 def blow_up_pairing_polarized(inp: PairingInput, k: int) -> PairingValue:
     """Polarization oracle for the blow-up pairing.
 
-    Splices the two companion spin-c structures onto the blow-up, expands
-    the closed formula multilinearly over the argument list (h repeated
-    delta-2m-k times, the exceptional class k+1 times), applies the two
-    orientation signs, and adds.  Must agree with blow_up_pairing_closed
-    for even k and vanish identically for odd k.
+    Splices the companions c1 +- e onto the blow-up, expands the bracket over
+    the argument list `slots` (h delta-2m-k times, then e k+1 times) as
+    A prod beta + 2 P1 sum_j t(z_j) prod_(i != j) beta + 4 P sum_(j < l)
+    Q(z_j, z_l) prod_(i != j, l) beta, applies the two orientation signs and
+    adds.  Must agree with blow_up_pairing_closed for even k and vanish for
+    odd k.
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    n_args = inp.delta + 1 - 2 * inp.m
     n_h = inp.delta - 2 * inp.m - k
-    deg = max(n_h, 0)
     nv = inp.X.form.rank
     if n_h < 0:
-        return PairingValue(polyring.zero(nv, deg), Fraction(0))
+        return PairingValue(polyring.zero(nv, 0), Fraction(0))
 
     X_blown, e = blow_up_manifold(inp.X)
-    t_blown = blow_up_spinu(inp.t_prime)
+    Qb, t_blown = X_blown.form, blow_up_spinu(inp.t_prime)
     jac, d = inp.jacobi, inp.d
     P = jacobi_at_zero(jac)
     P1 = jacobi_at_zero(JacobiParams(jac.a - 1, jac.b + 1, d))
+    bound = max(n_h, 2)
+    slots = ["h"] * n_h + ["e"] * (k + 1)
+    sign = -1 if (inp.m + 1 + d) % 2 else 1
 
-    bound = max(deg, 2)
-    qf = quadratic_form(inp.X.form, bound)
+    def on_slots(cls: CohomologyClass) -> dict:
+        """<cls, z> for z = h (over the un-blown coordinates) and z = e."""
+        *row, at_e = Qb.apply(cls)
+        return {"h": _linear(enumerate(row), nv, bound), "e": constant(at_e, nv, bound)}
+
+    def product(beta: dict, skip: tuple) -> TruncatedPolynomial:
+        factors = (beta[z] for i, z in enumerate(slots) if i not in skip)
+        return math.prod(factors, start=constant(1, nv, bound))
+
+    lt, E = on_slots(t_blown.c1), on_slots(e)
+    Q = {"hh": quadratic_form(inp.X.form, bound), "he": E["h"], "ee": E["e"]}
     total = polyring.zero(nv, bound)
-    # w on the blow-up is the lift carried by the blown-up spin-u structure.
-    w_blown = t_blown.w
-
     for k_choice in (1, 0):
         s_pm = blow_up_spinc(inp.s, k_choice, inp.X, X_blown)
         if level(X_blown, t_blown, s_pm) != 1:
             raise HypothesisViolated("blow-up did not preserve the stratum level")
-        beta = s_pm.c1 - t_blown.c1
-        # Slot values over the blow-up lattice.
-        beta_h = _restricted_linear_form(beta, X_blown.form, nv, bound)
-        beta_e = pair(X_blown.form, beta, e)
-        lt_h = _restricted_linear_form(t_blown.c1, X_blown.form, nv, bound)
-        lt_e = pair(X_blown.form, t_blown.c1, e)
-        q_ee = pair(X_blown.form, e, e)
-        slot_is_e = [i >= n_h for i in range(n_args)]
-
-        def slot_beta(i: int) -> TruncatedPolynomial:
-            return constant(beta_e, nv, bound) if slot_is_e[i] else beta_h
-
-        def slot_lt(i: int) -> TruncatedPolynomial:
-            return constant(lt_e, nv, bound) if slot_is_e[i] else lt_h
-
-        def product_except(skip: set[int]) -> TruncatedPolynomial:
-            out = constant(1, nv, bound)
-            for i in range(n_args):
-                if i not in skip:
-                    out = out * slot_beta(i)
-            return out
-
-        a0_plain = (
-            3 * square(X_blown.form, beta)
-            + c1_squared(X_blown)
-            + 4 * n_args
-            - 4 * inp.m
-        )
-        cross = pair(X_blown.form, beta, t_blown.c1)
-        bracket = (a0_plain * P + 2 * cross * P1) * product_except(set())
-        for j in range(n_args):
-            bracket = bracket + (2 * P1) * (product_except({j}) * slot_lt(j))
-        for j in range(n_args):
-            for l in range(j + 1, n_args):
-                if slot_is_e[j] and slot_is_e[l]:
-                    q_jl = constant(q_ee, nv, bound)
-                elif slot_is_e[j] != slot_is_e[l]:
-                    q_jl = _restricted_linear_form(e, X_blown.form, nv, bound)
-                else:
-                    q_jl = qf
-                bracket = bracket + (4 * P) * (product_except({j, l}) * q_jl)
-
-        o_sign = orientation_sign(X_blown, w_blown, t_blown, s_pm)
-        sign = -1 if (inp.m + 1 + d) % 2 else 1
-        moment_pm = inp.s.sw  # <mu^d, [M_{s+-}]> is the invariant by definition
-        scale = Fraction(o_sign * sign * moment_pm * 2**d, 2 ** (inp.delta + 1))
+        beta_cls = s_pm.c1 - t_blown.c1
+        beta = on_slots(beta_cls)
+        a0 = 3 * square(Qb, beta_cls) + c1_squared(X_blown) + 4 * len(slots) - 4 * inp.m
+        bracket = (a0 * P + 2 * pair(Qb, beta_cls, t_blown.c1) * P1) * product(beta, ())
+        for j, z in enumerate(slots):
+            bracket = bracket + (2 * P1) * (product(beta, (j,)) * lt[z])
+        for (j, z), (l, y) in itertools.combinations(enumerate(slots), 2):
+            bracket = bracket + (4 * P) * (product(beta, (j, l)) * Q[z + y])
+        o_sign = orientation_sign(X_blown, t_blown.w, t_blown, s_pm)
+        # <mu^d, [M_{s+-}]> is the invariant SW(s) by definition.
+        scale = Fraction(o_sign * sign * inp.s.sw * 2**d, 2 ** (inp.delta + 1))
         total = total + scale * bracket
 
-    poly = total.truncate(deg)
+    poly = total.truncate(n_h)
     return PairingValue(poly, poly.evaluate(inp.h.coords))

@@ -8,8 +8,8 @@ operation is integer arithmetic with at most one gcd per result.
 `constant_term`, `evaluate`, `render` and scalars; every input value must be
 an int or a Fraction, never a float.  `**` and `exp_series` generate their
 terms directly, without products of intermediate powers: `_sum_of_powers`
-streams walks num/den f p^n, the terms of p^n from `_power_terms`, their
-one generator, times a polynomial factor f, into one dict.
+adds walks num/den f p^n, the terms of p^n from one multinomial composition
+walk times a polynomial factor f, straight into one dict.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -194,7 +194,7 @@ class TruncatedPolynomial:
         )
 
     def __pow__(self, n: int) -> "TruncatedPolynomial":
-        """self^n in one walk (`_power_terms`); n < 0 goes via `inverse`."""
+        """self^n in one `_sum_of_powers` walk; n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
         return _sum_of_powers(self.nvars, self.bound, [(self, n, None, 1, 1)])
@@ -332,45 +332,13 @@ class TruncatedPolynomial:
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
 
 
-def _power_terms(terms: Mapping, n: int, bound: int, starts: list):
-    """The terms (expo + e, acc * c), keys possibly repeated, of the sum of
-    acc x^expo p^n over `starts` = [(expo, acc)] through total degree `bound`
-    (each expo within it), p = sum_e terms[e] x^e: one power table, then per
-    start one pass over the compositions k of n over p's terms (n!/k! prod_t
-    terms_t^k_t from running binomials), cut once no completion fits."""
-    if n == 0:
-        yield from starts
-        return
-    # Sorted by degree, so a term too big for all that is left ends a walk.
-    items = [
-        (d, [(tuple([k * x for x in e]), c**k) for k in range(n + 1)])
-        for d, e, c in sorted((sum(e), e, c) for e, c in terms.items())
-    ]
-    last = len(items) - 1
-    # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
-    # and the last term takes the rest.
-    stack = [(0, n, sum(expo), expo, acc) for expo, acc in starts]
-    while stack:
-        start, left, deg, expo, acc = stack.pop()
-        for t in range(start, last + 1):
-            d, steps = items[t]
-            if deg + left * d > bound:
-                break
-            for k in range(left if t == last else 1, left + 1):
-                ke, ck = steps[k]
-                key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
-                if k == left:
-                    yield key, value
-                else:
-                    stack.append((t + 1, left - k, deg + k * d, key, value))
-
-
 def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
     """sum of num/den f p^n over the walks (p, n, f, num, den), p a polynomial,
     f a polynomial within `bound` or None for 1, and num, den ints with den >
-    0: the terms of f seed one `_power_terms` walk, which streams its terms,
-    over den f.den p.den^n, into one dict over the lcm of those, truncated at
-    `bound`."""
+    0, into one dict over the lcm of den f.den p.den^n, truncated at `bound`.
+    Per walk: one power table [(k e, c^k) for k <= n] of p's terms c x^e, then
+    per term of f one pass over the compositions k of n over p's terms (n!/k!
+    prod_t c_t^k_t from running binomials), cut once no completion fits."""
     dens = [wden * p.den**n * (1 if f is None else f.den) for p, n, f, _, wden in walks]
     den, origin = lcm(*dens), (0,) * nvars
     out: dict[tuple[int, ...], int] = {}
@@ -378,8 +346,32 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
     for (p, n, f, num, _), wden in zip(walks, dens):
         acc = num * (den // wden)
         starts = [(origin, acc)] if f is None else [(e, acc * c) for e, c in f.terms.items()]
-        for key, c in _power_terms(p.terms, n, bound, starts):
-            out[key] = get(key, 0) + c
+        if n == 0:
+            for key, c in starts:
+                out[key] = get(key, 0) + c
+            continue
+        # Sorted by degree, so a term too big for all that is left ends a walk.
+        items = [
+            (d, [(tuple([k * x for x in e]), c**k) for k in range(n + 1)])
+            for d, e, c in sorted((sum(e), e, c) for e, c in p.terms.items())
+        ]
+        last = len(items) - 1
+        # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
+        # and the last term takes the rest.
+        stack = [(0, n, sum(expo), expo, c) for expo, c in starts]
+        while stack:
+            start, left, deg, expo, acc = stack.pop()
+            for t in range(start, last + 1):
+                d, steps = items[t]
+                if deg + left * d > bound:
+                    break
+                for k in range(left if t == last else 1, left + 1):
+                    ke, ck = steps[k]
+                    key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
+                    if k == left:
+                        out[key] = get(key, 0) + value
+                    else:
+                        stack.append((t + 1, left - k, deg + k * d, key, value))
     clean = {e: c for e, c in out.items() if c}
     return TruncatedPolynomial._fast(nvars, bound, clean, den)
 

@@ -423,13 +423,10 @@ class WittenReport:
             )
         )
         for row in self.table:
-            lines.append(
-                (
-                    f"degree.{row.degree}",
-                    row.equal,
-                    f"lhs={_render_part(row.donaldson)} rhs={_render_part(row.reference)}",
-                )
-            )
+            # An equal row's sides are the same polynomial: render it once.
+            lhs = _render_part(row.donaldson)
+            rhs = lhs if row.equal else _render_part(row.reference)
+            lines.append((f"degree.{row.degree}", row.equal, f"lhs={lhs} rhs={rhs}"))
         lines.append(
             (
                 "congruence.witten",

@@ -15,6 +15,7 @@ from monolink.cli import (
     parse_fixture,
 )
 from monolink.errors import InvariantError, ParseError, SchemaError
+from monolink.polyring import TruncatedPolynomial
 
 
 def _minimal_doc():
@@ -123,6 +124,17 @@ def test_cmd_verify_remaining_catalog():
         code, text = _run("verify", name)
         assert code == 0, text
         assert "verdict=ALL-PASS" in text
+
+
+def test_cmd_verify_renders_an_equal_row_once(count_calls):
+    # An equal degree row's lhs and rhs are the same polynomial, so its text
+    # is rendered once and reused.
+    calls = count_calls(TruncatedPolynomial, "render")
+    for name, renders in (("k3", 4), ("e3", 5), ("e5", 7)):
+        calls.clear()
+        code, text = _run("verify", name)
+        assert code == 0, text
+        assert calls["render"] == renders, name
 
 
 def test_report_as_dict_roundtrips(k3):

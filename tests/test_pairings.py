@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from monolink import lattice, manifold, witten
+from monolink import lattice, manifold, pairings, polyring, witten
 from monolink.cli import main
 from monolink.combinatorics import JacobiParams, jacobi_at_zero
 from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment
@@ -76,12 +76,14 @@ def test_instanton_pairing_table(k3):
         instanton_pairing("nu_alpha_h", X, t, s)
 
 
-def _k3_input(k3, delta=2, m=0, h=None):
-    X = k3.manifold
+def _fixture_input(fx, delta=2, m=0, h=None):
+    """The pairing input of a catalog fixture's first basic class, with t'
+    and eta built as `cli._pairing_inputs` builds them."""
+    X = fx.manifold
     s = X.basic_classes[0]
-    t = SpinuData(c1=k3.lam, p1=-8, w=k3.w)
+    t = SpinuData(c1=fx.lam, p1=square(X.form, s.c1 - fx.lam) - 4, w=fx.w)
     if h is None:
-        h = CohomologyClass((1, 1) + (0,) * 20)
+        h = CohomologyClass((1, 1) + (0,) * (X.form.rank - 2))
     return PairingInput(X=X, t_prime=t, s=s, delta=delta, m=m, eta=eta_for(X, t, delta), h=h)
 
 
@@ -100,7 +102,7 @@ def test_pairing_input_validation(k3):
 
 
 def test_k3_closed_is_minus_quadratic_form(k3):
-    inp = _k3_input(k3)
+    inp = _fixture_input(k3)
     out = link_pairing_closed(inp)
     assert out.polynomial == -1 * quadratic_form(k3.manifold.form, 2)
     raw = link_pairing_raw(inp)
@@ -110,9 +112,9 @@ def test_k3_closed_is_minus_quadratic_form(k3):
 
 def test_k3_simple_type_bracket_degenerations(k3):
     # d_s = 0 forces P = 1, so b0 collapses to 2(delta-2m).
-    inp = _k3_input(k3)
+    inp = _fixture_input(k3)
     assert b0_coefficient(inp) == 4
-    inp_m1 = _k3_input(k3, m=1)
+    inp_m1 = _fixture_input(k3, m=1)
     closed = link_pairing_closed(inp_m1)
     # delta-2m = 0: bracket reduces to a0 alone
     assert closed.polynomial == closed.polynomial.homogeneous_part(0)
@@ -359,25 +361,68 @@ def test_jacobi_zero_divide_reserved_for_ratio_queries():
     assert not closed.polynomial.is_zero()
 
 
-def test_blow_up_parity_and_polarization(synthetic_setups, k3):
-    cases = []
-    X, t, s = synthetic_setups["ds2"]
+# (setup, delta, m) of the blow-up checks; delta None is the synthetic
+# setup's largest admissible delta (eta = 0).
+BLOW_UP_GRID = (
+    ("ds0", None, 0),
+    ("ds2", 2, 0),
+    ("ds2", 3, 0),
+    ("ds2", 4, 0),
+    ("ds2", 4, 1),
+    ("ds4", None, 0),
+    ("k3", 2, 0),
+    ("k3", 2, 1),
+    ("e3", 3, 1),
+    ("e5", 4, 0),
+    ("e5", 5, 2),
+)
+
+
+@pytest.fixture
+def blow_up_inputs(synthetic_setups, k3, e3, e5):
+    catalog = {"k3": k3, "e3": e3, "e5": e5}
     h6 = CohomologyClass((1, 1, 0, 1, 0, 0))
-    top = max_delta(X, t)
-    for delta in (2, 3, 4):
-        cases.append(
-            PairingInput(X=X, t_prime=t, s=s, delta=delta, m=0, eta=top - delta, h=h6)
-        )
-    cases.append(_k3_input(k3, delta=2, m=0))
-    for inp in cases:
+    inputs = []
+    for key, delta, m in BLOW_UP_GRID:
+        if key in catalog:
+            inputs.append(_fixture_input(catalog[key], delta=delta, m=m))
+            continue
+        X, t, s = synthetic_setups[key]
+        top = max_delta(X, t)
+        delta = top if delta is None else delta
+        inputs.append(PairingInput(X=X, t_prime=t, s=s, delta=delta, m=m, eta=top - delta, h=h6))
+    return inputs
+
+
+def test_blow_up_parity_and_polarization(blow_up_inputs):
+    for inp in blow_up_inputs:
         for k in (0, 1, 2, 3, 4):
             closed = blow_up_pairing_closed(inp, k)
             polarized = blow_up_pairing_polarized(inp, k)
-            assert closed.polynomial == polarized.polynomial, (inp.X.name, inp.delta, k)
-            assert closed.at_h == polarized.at_h
+            label = (inp.X.name, inp.delta, inp.m, k)
+            assert closed.polynomial == polarized.polynomial, label
+            assert closed.at_h == polarized.at_h, label
             if k % 2 == 1:
                 assert closed.polynomial.is_zero()
                 assert polarized.polynomial.is_zero()
+            elif k == 0:
+                assert not polarized.polynomial.is_zero(), label
+
+
+def test_blow_up_oracle_is_independent(count_calls, blow_up_inputs):
+    # The polarization oracle shares none of the closed route's machinery:
+    # no bracket walks or Jacobi integers, no Span, no composition walk or
+    # polynomial power, and no binomial coefficient counting the slots.
+    calls = count_calls(
+        pairings, "_bracket_walks", "_bracket_class", "_pow2_jacobi", "comb"
+    )
+    count_calls(polyring, "_sum_of_powers")
+    count_calls(TruncatedPolynomial, "__pow__")
+    count_calls(Span, "__init__")
+    for inp in blow_up_inputs:
+        for k in (0, 1, 2, 3, 4):
+            blow_up_pairing_polarized(inp, k)
+    assert not calls, calls
 
 
 def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
@@ -387,7 +432,7 @@ def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
     X, t, s = synthetic_setups["ds2"]
     h6 = CohomologyClass((1, 1, 0, 1, 0, 0))
     top = max_delta(X, t)
-    cases = [_k3_input(k3, delta=2, m=0), _k3_input(k3, delta=2, m=1)] + [
+    cases = [_fixture_input(k3, delta=2, m=0), _fixture_input(k3, delta=2, m=1)] + [
         PairingInput(X=X, t_prime=t, s=s, delta=delta, m=0, eta=top - delta, h=h6)
         for delta in (2, 3, 4)
     ]
@@ -401,7 +446,7 @@ def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
 
 
 def test_blow_up_reduces_to_base_at_k_zero(k3):
-    inp = _k3_input(k3, delta=2, m=0)
+    inp = _fixture_input(k3, delta=2, m=0)
     base = link_pairing_closed(inp)
     blown = blow_up_pairing_closed(inp, 0)
     # orientation sign for this fixture is +1, and the K3 moment equals sw
