@@ -188,32 +188,20 @@ def _resolve_fixture(ref: str) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-class _Checker:
-    """Collects CHECK lines and the final exit status."""
-
-    def __init__(self, out) -> None:
-        self.out = out
-        self.passed = 0
-        self.failed = 0
-
-    def record(self, check_id: str, ok: bool, detail: str = "") -> None:
-        status = "PASS" if ok else "FAIL"
+def _print_checks(out, title: str, checks) -> int:
+    """Print a CHECK line per (id, ok, detail) triple as it arrives, then the
+    SUMMARY line; 0 when every check passed, 1 otherwise."""
+    total = failed = 0
+    for check_id, ok, detail in checks:
         suffix = f" {detail}" if detail else ""
-        print(f"CHECK {check_id} {status}{suffix}", file=self.out)
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-
-    def summary(self, title: str) -> int:
-        total = self.passed + self.failed
-        verdict = "ALL-PASS" if self.failed == 0 else "FAILURES"
-        print(
-            f"SUMMARY {title} total={total} pass={self.passed} "
-            f"fail={self.failed} verdict={verdict}",
-            file=self.out,
-        )
-        return 0 if self.failed == 0 else 1
+        print(f"CHECK {check_id} {'PASS' if ok else 'FAIL'}{suffix}", file=out)
+        total, failed = total + 1, failed + (not ok)
+    print(
+        f"SUMMARY {title} total={total} pass={total - failed} fail={failed} "
+        f"verdict={'FAILURES' if failed else 'ALL-PASS'}",
+        file=out,
+    )
+    return 1 if failed else 0
 
 
 def _require_w_lambda(fx: Fixture) -> tuple[CohomologyClass, CohomologyClass]:
@@ -227,15 +215,12 @@ def _require_w_lambda(fx: Fixture) -> tuple[CohomologyClass, CohomologyClass]:
 def cmd_verify(fx: Fixture, out) -> int:
     w, lam = _require_w_lambda(fx)
     report = verify_witten(fx.manifold, w, lam, attributes=fx.attributes)
-    checker = _Checker(out)
     print(
         f"REPORT manifold={report.manifold} c={report.c} "
         f"w={list(report.w.coords)} lambda={list(report.lam.coords)}",
         file=out,
     )
-    for check_id, ok, detail in report.check_lines():
-        checker.record(check_id, ok, detail)
-    return checker.summary(f"verify:{report.manifold}")
+    return _print_checks(out, f"verify:{report.manifold}", report.check_lines())
 
 
 def cmd_moment(fx: Fixture, delta: int, m: int, out) -> int:
@@ -280,72 +265,67 @@ def cmd_pairing(
     X = fx.manifold
     if h is None:
         h = CohomologyClass.basis_vector(0, X.form.rank)
-    checker = _Checker(out)
-    for idx, inp in enumerate(_pairing_inputs(fx, delta, m, h)):
-        closed = link_pairing_closed(inp)
-        detail = f"value={closed.at_h} poly={closed.polynomial.render()}"
-        if oracle:
-            raw = link_pairing_raw(inp)
-            ok = closed.polynomial == raw.polynomial and closed.at_h == raw.at_h
-            checker.record(f"pairing.s{idx}.closed_vs_raw", ok, detail)
-        else:
-            checker.record(f"pairing.s{idx}.closed", True, detail)
-        if blowup_k is not None:
-            bc = blow_up_pairing_closed(inp, blowup_k)
-            bp = blow_up_pairing_polarized(inp, blowup_k)
-            ok = bc.polynomial == bp.polynomial
-            if blowup_k % 2 == 1:
-                ok = ok and bc.polynomial.is_zero() and bp.polynomial.is_zero()
-            checker.record(
-                f"pairing.s{idx}.blowup_k{blowup_k}",
-                ok,
-                f"value={bc.at_h}",
-            )
-    return checker.summary(f"pairing:{X.name}")
+
+    def checks():
+        for idx, inp in enumerate(_pairing_inputs(fx, delta, m, h)):
+            closed = link_pairing_closed(inp)
+            detail = f"value={closed.at_h} poly={closed.polynomial.render()}"
+            if oracle:
+                raw = link_pairing_raw(inp)
+                ok = closed.polynomial == raw.polynomial and closed.at_h == raw.at_h
+                yield f"pairing.s{idx}.closed_vs_raw", ok, detail
+            else:
+                yield f"pairing.s{idx}.closed", True, detail
+            if blowup_k is not None:
+                bc = blow_up_pairing_closed(inp, blowup_k)
+                bp = blow_up_pairing_polarized(inp, blowup_k)
+                ok = bc.polynomial == bp.polynomial
+                if blowup_k % 2 == 1:
+                    ok = ok and bc.polynomial.is_zero() and bp.polynomial.is_zero()
+                yield f"pairing.s{idx}.blowup_k{blowup_k}", ok, f"value={bc.at_h}"
+
+    return _print_checks(out, f"pairing:{X.name}", checks())
 
 
 def cmd_fuzz_identities(
     out, a_range: tuple[int, int], mn_bound: int, d_max: int
 ) -> int:
-    checker = _Checker(out)
+    def checks():
+        count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+        yield "identity.triple_sum", bad == 0, f"tuples={count} mismatches={bad}"
 
-    count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
-    checker.record(
-        "identity.triple_sum", bad == 0, f"tuples={count} mismatches={bad}"
-    )
+        bad = sum(
+            1
+            for r in range(-POCH_BOUND, POCH_BOUND + 1)
+            for ell in range(POCH_BOUND + 1)
+            if pochhammer(r, ell) != (-1) ** ell * pochhammer(1 - r - ell, ell)
+        )
+        yield "identity.pochhammer_reflection", bad == 0, f"mismatches={bad}"
 
-    bad = sum(
-        1
-        for r in range(-POCH_BOUND, POCH_BOUND + 1)
-        for ell in range(POCH_BOUND + 1)
-        if pochhammer(r, ell) != (-1) ** ell * pochhammer(1 - r - ell, ell)
-    )
-    checker.record("identity.pochhammer_reflection", bad == 0, f"mismatches={bad}")
+        bad = 0
+        for d in range(d_max + 1):
+            for v in range(4):
+                for i in range(d + 1):
+                    for j in range(d - i + 1):
+                        lhs = ext_binomial(d + 3 - v - i - j, d - i - j)
+                        rhs = (-1) ** (d - i - j) * ext_binomial(v - 4, d - i - j)
+                        if lhs != rhs:
+                            bad += 1
+        yield "identity.binomial_reversal", bad == 0, f"mismatches={bad}"
 
-    bad = 0
-    for d in range(d_max + 1):
-        for v in range(4):
-            for i in range(d + 1):
-                for j in range(d - i + 1):
-                    lhs = ext_binomial(d + 3 - v - i - j, d - i - j)
-                    rhs = (-1) ** (d - i - j) * ext_binomial(v - 4, d - i - j)
-                    if lhs != rhs:
-                        bad += 1
-    checker.record("identity.binomial_reversal", bad == 0, f"mismatches={bad}")
+        bad = sum(
+            1
+            for mm in range(-6, 7)
+            for nn in range(-6, 7)
+            for p in range(9)
+            if not vandermonde_check(mm, nn, p)
+        )
+        yield "identity.vandermonde", bad == 0, f"mismatches={bad}"
 
-    bad = sum(
-        1
-        for mm in range(-6, 7)
-        for nn in range(-6, 7)
-        for p in range(9)
-        if not vandermonde_check(mm, nn, p)
-    )
-    checker.record("identity.vandermonde", bad == 0, f"mismatches={bad}")
+        _, bad = segre_inversion_sweep()
+        yield "identity.segre_inversion", bad == 0, f"mismatches={bad}"
 
-    _, bad = segre_inversion_sweep()
-    checker.record("identity.segre_inversion", bad == 0, f"mismatches={bad}")
-
-    return checker.summary("fuzz-identities")
+    return _print_checks(out, "fuzz-identities", checks())
 
 
 def cmd_catalog(out) -> int:

@@ -5,8 +5,8 @@ truncated at a total-degree bound.  A polynomial stores integer numerators
 over one positive common denominator `den`, in lowest terms, so every ring
 operation is integer arithmetic with at most one gcd per result.
 `Fraction`s appear only at the boundary: constructor input, `coefficient`,
-`constant_term`, `evaluate`, `render` and scalars; every input value must be
-an int or a Fraction, never a float.  `**` and `exp_series` generate their
+`constant_term`, `evaluate` and scalars; every input value must be an int
+or a Fraction, never a float.  `**` and `exp_series` generate their
 terms directly, without products of intermediate powers: `_sum_of_powers`
 adds walks num/den f p^n, the terms of p^n from one multinomial composition
 walk times a polynomial factor f, straight into one dict.
@@ -62,12 +62,6 @@ def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
-    """(nums, den) for the values nums_i / den, den > 0, with their gcd out."""
-    g = gcd(den, *nums)
-    return [c // g for c in nums], den // g
 
 
 @dataclass(frozen=True)
@@ -298,30 +292,17 @@ class TruncatedPolynomial:
 
     def render(self) -> str:
         """Graded-lex sorted text form, e.g. '1 + 2*h1*h2 - 1/2*h3^2'."""
-        if not self.terms:
-            return "0"
-        pieces = []
+        den, names, pieces = self.den, [f"h{i + 1}" for i in range(self.nvars)], []
         for expo, num in sorted(
-            self.terms.items(),
-            key=lambda ec: (sum(ec[0]), tuple(-x for x in ec[0])),
+            self.terms.items(), key=lambda ec: (sum(ec[0]), [-x for x in ec[0]])
         ):
-            coeff = Fraction(num, self.den)
-            mono = "*".join(
-                f"h{i + 1}" if e == 1 else f"h{i + 1}^{e}"
-                for i, e in enumerate(expo)
-                if e
-            )
-            if mono:
-                body = mono if abs(coeff) == 1 else f"{abs(coeff)}*{mono}"
-            else:
-                body = str(abs(coeff))
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            g = gcd(num, den)
+            p, q = abs(num) // g, den // g
+            mono = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, expo) if e]
+            coeff = [] if p == q == 1 and mono else [str(p) if q == 1 else f"{p}/{q}"]
+            pieces.append(("- " if num < 0 else "+ ") + "*".join(coeff + mono))
+        text = " ".join(pieces) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def digest(self) -> str:
         """Short stable hash of the exact content."""
@@ -393,7 +374,7 @@ def _linear(
     """sum_i c_i x_i / den over the (i, c_i) pairs given, c_i integers."""
     _require_bound(bound)
     terms = {
-        tuple(int(j == i) for j in range(nvars)): c for i, c in coeffs if c and bound
+        (0,) * i + (1,) + (0,) * (nvars - i - 1): c for i, c in coeffs if c and bound
     }
     return TruncatedPolynomial._fast(nvars, bound, terms, den)
 
@@ -454,14 +435,14 @@ class Span:
         # ones and kept sparse: (pivot, row, E) with row = sum_i E_i v_i, the
         # integers row and E coprime and row positive at its pivot.
         self._echelon: list[tuple[int, list, list]] = []
-        # cls.coords -> its coefficients in v_1..v_k over a common
-        # denominator, (numerators, den) in lowest terms, per class reduced.
+        # cls.coords -> (combo, m), all integers with m > 0: <cls, h> =
+        # sum_i combo_i x_i / m, per class reduced (`_fast` divides out the gcd).
         self._combos: dict[tuple[int, ...], tuple[list[int], int]] = {}
         for cls in classes:
             row, combo, m = self._reduce(cls)
             pivot = next((j for j, c in enumerate(row) if c), None)
             if pivot is None:
-                self._combos[cls.coords] = _lowest_terms(combo, m)
+                self._combos[cls.coords] = (combo, m)
                 continue
             # row = m cls - sum_i combo_i v_i, and cls becomes the next v_i.
             coeffs = [-c for c in combo] + [m]
@@ -480,7 +461,6 @@ class Span:
                 self.nvars, 2, {(0,) * k + (1, 1): 1}
             )
         self._images: dict = {}
-        self._units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(k)]
 
     def _reduce(self, cls: CohomologyClass) -> tuple[list, list, int]:
         """(remainder, c, m), all integers with m > 0, such that
@@ -512,8 +492,7 @@ class Span:
             sub, sub_den = self._combo(minus)
             nums = [a * sub_den - b * den for a, b in zip_longest(nums, sub, fillvalue=0)]
             den *= sub_den
-        terms = {e: c for e, c in zip(self._units, nums) if c and bound}
-        return TruncatedPolynomial._fast(self.nvars, bound, terms, den)
+        return _linear(enumerate(nums), self.nvars, bound, den)
 
     def _combo(self, cls: CohomologyClass) -> tuple[Sequence[int], int]:
         """(nums, den): <cls, h> = sum_i nums_i x_i / den."""
@@ -524,7 +503,7 @@ class Span:
             row, combo, m = self._reduce(cls)
             if any(row):
                 raise InputError(f"class {cls.coords} is not in the span")
-            entry = self._combos[cls.coords] = _lowest_terms(combo, m)
+            entry = self._combos[cls.coords] = (combo, m)
         return entry
 
     def quadratic(self, bound: int) -> TruncatedPolynomial:

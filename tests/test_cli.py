@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monolink import cli
 from monolink.cli import (
     load_catalog_fixture,
     load_fixture,
     main,
     parse_fixture,
 )
-from monolink.errors import InvariantError, ParseError, SchemaError
+from monolink.errors import HypothesisViolated, InvariantError, ParseError, SchemaError
 from monolink.polyring import TruncatedPolynomial
 
 
@@ -68,6 +69,19 @@ def test_schema_errors():
     doc["attributes"] = {"simple_type": True}
     with pytest.raises(SchemaError):
         parse_fixture(doc)
+    for edit, message in (
+        (lambda d: d.update(chi=True), "'chi' must be an integer"),
+        (lambda d: d.update(name=5), "'name' has wrong type"),
+        (lambda d: d["gram"][0].__setitem__(1, 1.5), "expected a list of integers"),
+        (lambda d: d.update(basic_classes=[5]), r"\[0\]: expected an object"),
+        (lambda d: d["basic_classes"][0].update(moment=True), "moment must be an integer"),
+    ):
+        doc = _minimal_doc()
+        edit(doc)
+        with pytest.raises(SchemaError, match=message):
+            parse_fixture(doc)
+    with pytest.raises(SchemaError, match="top level must be an object"):
+        parse_fixture([_minimal_doc()])
 
 
 def test_invariant_errors():
@@ -180,6 +194,26 @@ def test_cmd_verify_mathematical_failure(tmp_path):
     assert "verdict=FAILURES" in text
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("lambda"), "ERROR HypothesisViolated: fixture must supply both"),
+        # "w": null reads as an absent class, not as a malformed vector.
+        (lambda d: d.update(w=None), "ERROR HypothesisViolated: fixture must supply both"),
+        (lambda d: d.update(w=d["w"][:-1]), "ERROR input: "),
+    ],
+    ids=["no-lambda", "null-w", "short-w"],
+)
+def test_cmd_verify_needs_w_and_lambda(tmp_path, edit, message):
+    doc = json.loads(_catalog_text("k3"))
+    edit(doc)
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run("verify", str(path))
+    assert code == 2
+    assert text.startswith(message) and "CHECK" not in text
+
+
 def _catalog_text(name):
     from importlib import resources
 
@@ -206,6 +240,35 @@ def test_cmd_pairing_blowup():
     )
     assert code == 0
     assert "blowup_k1 PASS" in text
+
+
+def test_cmd_pairing_prints_each_check_as_it_arrives(monkeypatch):
+    # The second class's pairing raises: the first class's CHECK line is
+    # already out, and no SUMMARY follows.
+    closed = cli.link_pairing_closed
+    calls = []
+
+    def fail_second(inp):
+        calls.append(inp)
+        if len(calls) == 2:
+            raise HypothesisViolated("second class")
+        return closed(inp)
+
+    monkeypatch.setattr(cli, "link_pairing_closed", fail_second)
+    code, text = _run("pairing", "e3", "--delta", "1", "--m", "0")
+    assert code == 2
+    lines = text.splitlines()
+    assert [line.split(" ")[:3] for line in lines[:-1]] == [
+        ["CHECK", "pairing.s0.closed", "PASS"]
+    ]
+    assert lines[-1] == "ERROR HypothesisViolated: second class"
+
+
+def test_bad_h_class_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pairing", "k3", "--delta", "2", "--m", "0", "--h", "1,x"])
+    assert exc.value.code == 2
+    assert "bad class vector '1,x'" in capsys.readouterr().err
 
 
 def test_cmd_fuzz_small():

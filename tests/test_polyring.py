@@ -310,7 +310,69 @@ def test_render_deterministic():
     p = h1() * h1() - 2 * (h1() * h2()) + constant(Fraction(1, 2), 2, 4)
     assert p.render() == "1/2 + h1^2 - 2*h1*h2"
     assert zero(2, 2).render() == "0"
+    q = TruncatedPolynomial(2, 4, {(0, 0): -1, (1, 0): 1, (0, 2): -1, (2, 1): Fraction(-3, 4)})
+    assert q.render() == "-1 + h1 - h2^2 - 3/4*h1^2*h2"
     assert p.digest() == p.digest()
+
+
+def parse_rendered(text, nvars):
+    """[(exponents, coefficient)] in the order the text lists its terms.
+
+    Reads `render`'s format token by token and asserts it is canonical: a
+    positive coefficient in lowest terms, written first and only when it
+    is not 1 or the term is a constant; each variable at most once, with a
+    written exponent only when it is at least 2."""
+    if text == "0":
+        return []
+    tokens = text.split(" ")
+    assert len(tokens) % 2 == 1
+    head = tokens[0]
+    signed = [("-", head[1:]) if head.startswith("-") else ("+", head)]
+    signed += zip(tokens[1::2], tokens[2::2])
+    terms = []
+    for sign, body in signed:
+        assert sign in ("+", "-")
+        factors = body.split("*")
+        coeff, expo = Fraction(1), [0] * nvars
+        if not factors[0].startswith("h"):
+            coeff = Fraction(factors[0])
+            assert str(coeff) == factors[0] and coeff > 0
+            assert coeff != 1 or len(factors) == 1
+            factors = factors[1:]
+        for factor in factors:
+            name, caret, power = factor.partition("^")
+            i = int(name[1:]) - 1
+            assert name == f"h{i + 1}" and 0 <= i < nvars and expo[i] == 0
+            expo[i] = int(power) if caret else 1
+            assert expo[i] >= 2 or not caret
+        terms.append((tuple(expo), -coeff if sign == "-" else coeff))
+    return terms
+
+
+@st.composite
+def render_cases(draw):
+    nvars, bound = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    coeff = st.one_of(
+        st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+        st.integers(-5, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    )
+    expo = st.tuples(*(st.integers(0, 3) for _ in range(nvars)))
+    return TruncatedPolynomial(nvars, bound, draw(st.dictionaries(expo, coeff, max_size=6)))
+
+
+@given(render_cases())
+@example(zero(1, 0))
+@example(TruncatedPolynomial(2, 4, {(0, 0): -1, (1, 0): 1, (0, 2): -1, (2, 1): Fraction(-3, 4)}))
+@example(TruncatedPolynomial(3, 4, {(0, 1, 0): -1, (0, 0, 0): 1, (1, 0, 3): Fraction(5, 2)}))
+@example(TruncatedPolynomial(1, 2, {(2,): Fraction(-1, 3)}))
+def test_render_round_trips_in_graded_lex_order(p):
+    terms = parse_rendered(p.render(), p.nvars)
+    assert TruncatedPolynomial(p.nvars, p.bound, dict(terms)) == p
+    assert len(terms) == len(p.terms)
+    # Ascending total degree; within a degree, exponent tuples descending.
+    for (e, _), (f, _) in zip(terms, terms[1:]):
+        assert sum(e) < sum(f) or (sum(e) == sum(f) and e > f)
 
 
 def test_rejects_bad_exponent_length():
