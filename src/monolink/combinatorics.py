@@ -143,6 +143,11 @@ def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
     S_j = sum_k 2^k C(M,k) C(N,j-k) is formed once, not once per i: a
     reordering of the same finite sum of exact integers, O(d^2) lookups
     instead of O(d^3).
+
+    The one implementation of the Segre-weighted nested sum.  Its callers:
+    `triple_sum_sweep`, the benchmark's identity-sweep cases, and the raw
+    link-pairing oracle, which reads each of its six term-family weights
+    from it at (M, N) = (-n', -n'') and the family's own (A, v).
     """
     if d < 0:
         raise InputError("d must be non-negative")

@@ -2,7 +2,8 @@
 
 Segre-class coefficients of the virtual normal bundle, the instanton-link
 pairing table, the level-one link pairing in closed form and as a literal
-nested-sum oracle, and the blow-up pairing with its polarization oracle.
+nested-sum oracle (its weights are `combinatorics.triple_sum_lhs` values),
+and the blow-up pairing with its polarization oracle.
 
 The two independent evaluation routes (closed vs raw, closed-blow-up vs
 polarized) must agree exactly on every admissible input; the test suite
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
-from .combinatorics import JacobiParams, ext_binomial, jacobi_at_zero
+from .combinatorics import JacobiParams, ext_binomial, jacobi_at_zero, triple_sum_lhs
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -351,67 +352,36 @@ def link_pairing_raw(inp: PairingInput) -> PairingValue:
     """Literal nested-sum evaluation of the same link pairing.
 
     Overall sign (-1)^(m+1+d) (the rank-free collapse of the orientation
-    bookkeeping), factor 2^(-delta-1), double sum over i <= d, j <= d-i
-    with Segre constants S_j, the v-shifted binomial pattern of the six
-    term families, and the four instanton pairing values substituted.
+    bookkeeping), factor 2^(-delta-1), the four instanton pairing values
+    substituted into six term families, and each family weighted by the
+    Segre-weighted nested sum T(A, v) = triple_sum_lhs(A, -n', -n'', d, v)
+    at its own (A, v): a family lacking l of the <beta,h> factors carries
+    C(delta - l, i) = C(A - v, i).  No Jacobi value and no bracket.
     """
-    X, Q, d = inp.X, inp.X.form, inp.d
-    delta, m, n = inp.delta, inp.m, inp.delta - 2 * inp.m
-    n1, n2 = inp.normal
+    X, t, s, Q, d, m = inp.X, inp.t_prime, inp.s, inp.X.form, inp.d, inp.m
+    delta, n, (n1, n2) = inp.delta, inp.delta - 2 * inp.m, inp.normal
+    bound = max(n, 2)
 
-    # Combinatorial weights, one accumulator per term family.
-    w_nu3 = w_nu2c = w_nu2h = w_nuhc = w_nuq = w_nux = 0
-    for i in range(d + 1):
-        for j in range(d - i + 1):
-            Sj = s_constants(n1, n2, j)
-            if not Sj:
-                continue
-            base = Sj << (d - j)
-            if (i + j) & 1:
-                base = -base
-            c_top = ext_binomial(d + 3 - i - j, d - i - j)
-            c_mid = ext_binomial(d + 2 - i - j, d - i - j)
-            c_low = ext_binomial(d + 1 - i - j, d - i - j)
-            b_d0 = ext_binomial(delta, i)
-            b_d1 = ext_binomial(delta - 1, i)
-            b_d2 = ext_binomial(delta - 2, i)
-            w_nu3 += base * b_d0 * c_top
-            w_nu2c -= base * b_d0 * c_mid
-            w_nu2h -= base * 2 * n * b_d1 * c_mid
-            w_nuhc += base * 2 * n * b_d1 * c_low
-            w_nuq += base * 4 * comb(n, 2) * b_d2 * c_low
-            w_nux -= base * 4 * m * b_d2 * c_low
+    def T(A: int, v: int) -> Fraction:
+        return triple_sum_lhs(A, -n1, -n2, d, v)
 
-    deg = max(n, 0)
-    bound = max(deg, 2)
-    nv = Q.rank
-    bf = linear_form(inp.s.c1 - inp.t_prime.c1, Q, bound)
-    qf = quadratic_form(Q, bound)
-    nu3 = instanton_pairing("nu3", X, inp.t_prime, inp.s, bound=bound)
-    nu2c = constant(
-        -4 * pair(Q, inp.s.c1 - inp.t_prime.c1, inp.t_prime.c1), nv, bound
+    def nu(kind: str, alpha=None) -> TruncatedPolynomial:
+        return instanton_pairing(kind, X, t, s, alpha=alpha, bound=bound)
+
+    bf, nux = linear_form(s.c1 - t.c1, Q, bound), nu("nu_x")
+    nu2c = constant(-4 * pair(Q, s.c1 - t.c1, t.c1), Q.rank, bound)
+    total = bf**n * (
+        T(delta, 0) * nu("nu3") - T(delta + 1, 1) * nu2c - 4 * m * T(delta, 2) * nux
     )
-    nu2h = instanton_pairing("nu2_h", X, inp.t_prime, inp.s, bound=bound)
-    nuhc = instanton_pairing(
-        "nu_alpha_h", X, inp.t_prime, inp.s, alpha=inp.t_prime.c1, bound=bound
-    )
-    nux = instanton_pairing("nu_x", X, inp.t_prime, inp.s, bound=bound)
-
-    total = polyring.zero(nv, bound)
-    bf_n = bf**n
-    total = total + w_nu3 * (bf_n * nu3)
-    total = total + w_nu2c * (bf_n * nu2c)
     if n >= 1:
-        bf_n1 = bf ** (n - 1)
-        total = total + w_nu2h * (bf_n1 * nu2h)
-        total = total + w_nuhc * (bf_n1 * nuhc)
+        hc, h2 = nu("nu_alpha_h", t.c1), nu("nu2_h")
+        total += bf ** (n - 1) * (2 * n * (T(delta + 1, 2) * hc - T(delta, 1) * h2))
     if n >= 2:
-        total = total + w_nuq * (bf ** (n - 2) * qf * nux)
-    total = total + w_nux * (bf_n * nux)
+        qf = quadratic_form(Q, bound)
+        total += bf ** (n - 2) * (4 * comb(n, 2) * T(delta, 2) * (qf * nux))
 
     sign = -1 if (m + 1 + d) % 2 else 1
-    scale = Fraction(sign * inp.moment(), 2 ** (delta + 1))
-    poly = (scale * total).truncate(deg)
+    poly = (Fraction(sign * inp.moment(), 2 ** (delta + 1)) * total).truncate(n)
     return PairingValue(poly, poly.evaluate(inp.h.coords))
 
 

@@ -134,9 +134,9 @@ def eta_for(X: FourManifoldData, t_prime: SpinuData, delta: int) -> int:
     return max_delta(X, t_prime) - delta
 
 
-# Synthetic level-one setups spanning d_s in {0, 2, 4}; the lambda block is
-# disjoint from the c1 block so the lattice cross term (c1-lam).lam is the
-# nonzero value lam^2, exercising the shifted-Jacobi coefficient path.
+# Synthetic level-one setups spanning d_s in {0, 2, 4, 6, 8, 12}; the lambda
+# block is disjoint from the c1 block so the lattice cross term (c1-lam).lam
+# is the nonzero value lam^2, exercising the shifted-Jacobi coefficient path.
 SYNTHETIC_SETUPS = {
     "ds0": dict(
         name="synthetic-ds0",
@@ -162,6 +162,33 @@ SYNTHETIC_SETUPS = {
         chi=12,
         sigma=-8,
         moment=-3,
+        w_shift=(2, 2, 0, 0, 0, 0),
+    ),
+    "ds6": dict(
+        name="synthetic-ds6",
+        c1_coords=(2, 6, 0, 0, 0, 0),
+        lam_coords=(0, 0, 1, -30, 0, 0),
+        chi=12,
+        sigma=-8,
+        moment=7,
+        w_shift=(2, 2, 0, 0, 0, 0),
+    ),
+    "ds8": dict(
+        name="synthetic-ds8",
+        c1_coords=(4, 4, 0, 0, 0, 0),
+        lam_coords=(0, 0, 1, -30, 0, 0),
+        chi=12,
+        sigma=-8,
+        moment=7,
+        w_shift=(2, 2, 0, 0, 0, 0),
+    ),
+    "ds12": dict(
+        name="synthetic-ds12",
+        c1_coords=(4, 6, 0, 0, 0, 0),
+        lam_coords=(0, 0, 1, -40, 0, 0),
+        chi=12,
+        sigma=-8,
+        moment=7,
         w_shift=(2, 2, 0, 0, 0, 0),
     ),
 }

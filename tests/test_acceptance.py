@@ -71,9 +71,9 @@ def test_criterion_2_segre_oracle():
     )
 
 
-def test_criterion_3_closed_vs_raw_grid(synthetic_setups, k3, e3):
+def test_criterion_3_closed_vs_raw_grid(synthetic_setups, k3, e3, e5):
     start = time.monotonic()
-    inputs = _grid_inputs(synthetic_setups, k3, e3)
+    inputs = _grid_inputs(synthetic_setups, k3, e3, e5)
     spans_ds = {dim_sw(inp.X, inp.s) for inp in inputs}
     spans_n = {inp.delta - 2 * inp.m for inp in inputs}
     bad = 0
@@ -85,7 +85,7 @@ def test_criterion_3_closed_vs_raw_grid(synthetic_setups, k3, e3):
     ok = (
         bad == 0
         and len(inputs) >= 50
-        and spans_ds >= {0, 2, 4}
+        and spans_ds >= {0, 2, 4, 6, 8, 12}
         and spans_n >= {0, 1, 2, 3}
     )
     _report(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from monolink import lattice, manifold, pairings, polyring, witten
+from monolink import combinatorics, lattice, manifold, pairings, polyring, witten
 from monolink.cli import main
 from monolink.combinatorics import JacobiParams, jacobi_at_zero
 from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment
@@ -133,11 +133,12 @@ def test_missing_moment_raises(synthetic_setups):
         link_pairing_closed(inp)
 
 
-def _grid_inputs(synthetic_setups, k3, e3):
-    """Admissible inputs spanning d_s in {0,2,4} and delta-2m in {0,1,2,3}."""
+def _grid_inputs(synthetic_setups, k3, e3, e5):
+    """Admissible inputs spanning d_s in {0,2,4,6,8,12} and delta-2m in
+    {0,1,2,3}."""
     inputs = []
     h6 = CohomologyClass((1, 1, 1, 1, 0, 0))
-    for key in ("ds0", "ds2", "ds4"):
+    for key in ("ds0", "ds2", "ds4", "ds6", "ds8", "ds12"):
         X, t, s = synthetic_setups[key]
         top = max_delta(X, t)
         for delta in range(0, top + 1):
@@ -150,7 +151,11 @@ def _grid_inputs(synthetic_setups, k3, e3):
                         eta=top - delta, h=h6,
                     )
                 )
-    for fx, hvec in ((k3, (1, 1) + (0,) * 20), (e3, (1, 1) + (0,) * 31 + (1,))):
+    for fx, hvec in (
+        (k3, (1, 1) + (0,) * 20),
+        (e3, (1, 1) + (0,) * 31 + (1,)),
+        (e5, (1, 1) + (0,) * 11 + (1,)),
+    ):
         X = fx.manifold
         for s in X.basic_classes:
             p1 = square(X.form, s.c1 - fx.lam) - 4
@@ -169,12 +174,12 @@ def _grid_inputs(synthetic_setups, k3, e3):
     return inputs
 
 
-def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3):
-    inputs = _grid_inputs(synthetic_setups, k3, e3)
+def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3, e5):
+    inputs = _grid_inputs(synthetic_setups, k3, e3, e5)
     assert len(inputs) >= 50
     spanned_ds = {dim_sw(inp.X, inp.s) for inp in inputs}
     spanned_n = {inp.delta - 2 * inp.m for inp in inputs}
-    assert spanned_ds >= {0, 2, 4}
+    assert spanned_ds >= {0, 2, 4, 6, 8, 12}
     assert spanned_n >= {0, 1, 2, 3}
     for inp in inputs:
         closed = link_pairing_closed(inp)
@@ -183,6 +188,26 @@ def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3):
             inp.X.name, inp.delta, inp.m
         )
         assert closed.at_h == raw.at_h
+
+
+def test_raw_oracle_is_independent(count_calls, synthetic_setups, k3, e3, e5):
+    # The nested-sum oracle shares none of the closed route's machinery: no
+    # bracket walks, classes or forms, no Jacobi value and no Span.  It may
+    # use comb, powers and _sum_of_powers, as any ring computation does.
+    inputs = _grid_inputs(synthetic_setups, k3, e3, e5)
+    calls = count_calls(
+        pairings,
+        "_bracket_walks",
+        "_bracket_class",
+        "_bracket_forms",
+        "_pow2_jacobi",
+        "_bracket_closed",
+    )
+    count_calls(combinatorics, "jacobi_at_zero")
+    count_calls(Span, "__init__")
+    for inp in inputs:
+        link_pairing_raw(inp)
+    assert not calls, calls
 
 
 def _bracket_reference(X, span, c1, t, n, m, k, jac):
@@ -453,9 +478,10 @@ def test_blow_up_reduces_to_base_at_k_zero(k3):
     assert blown.polynomial == base.polynomial
 
 
-def test_golden_pairing_values(synthetic_setups, k3, e3):
-    """Deterministic text of fixture pairings, frozen after the first
-    oracle-agreeing run."""
+def golden_lines(k3, e3) -> list[str]:
+    """The lines of `golden/pairings_golden.txt`: every fixture pairing of k3
+    and e3, each checked closed against raw.  Run this file as a script to
+    print them."""
     lines = []
     h22 = CohomologyClass((1,) * 22)
     h34 = CohomologyClass((1,) * 34)
@@ -478,8 +504,16 @@ def test_golden_pairing_values(synthetic_setups, k3, e3):
                         f"{label} s{si} delta={delta} m={m} eta={top - delta} "
                         f"value={closed.at_h} digest={closed.polynomial.digest()}"
                     )
-    text = "\n".join(lines) + "\n"
-    if not GOLDEN.exists():
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(text, encoding="utf-8")
-    assert GOLDEN.read_text(encoding="utf-8") == text
+    return lines
+
+
+def test_golden_pairing_values(k3, e3):
+    expected = GOLDEN.read_text(encoding="utf-8")  # a missing golden fails
+    assert expected == "\n".join(golden_lines(k3, e3)) + "\n"
+
+
+if __name__ == "__main__":
+    from monolink.cli import load_catalog_fixture
+
+    k3, e3 = load_catalog_fixture("k3"), load_catalog_fixture("e3")
+    print("\n".join(golden_lines(k3, e3)))
