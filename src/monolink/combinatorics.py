@@ -9,6 +9,7 @@ fractions.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ __all__ = [
     "jacobi_general",
     "jacobi_via_hypergeometric",
     "hypergeometric_terminating",
+    "segre_constant",
     "triple_sum_lhs",
     "triple_sum_sweep",
     "vandermonde_check",
@@ -132,46 +134,58 @@ def jacobi_via_hypergeometric(p: JacobiParams) -> Fraction:
     return Fraction(pochhammer(-p.b - p.d, p.d), math.factorial(p.d)) * hg
 
 
+def segre_constant(M: int, N: int, j: int) -> int:
+    """S_j(M, N) = sum_{k<=j} 2^k C(M,k) C(N,j-k): the triple sum's k-sum."""
+    total = 0
+    for k in range(j + 1):
+        bm = ext_binomial(M, k)
+        if bm:
+            bn = ext_binomial(N, j - k)
+            if bn:
+                total += (bm * bn) << k
+    return total
+
+
+def _triple_weights(A: int, v: int, d: int) -> list[int]:
+    """[T_0..T_d], T_j = 2^(d-j) sum_i (-1)^(i+j) C(A-v,i) C(d+3-v-i-j, d-i-j)."""
+    weights = []
+    for j in range(d + 1):
+        t_j = 0
+        for i in range(d - j + 1):
+            bi = ext_binomial(A - v, i)
+            if bi:
+                bj = ext_binomial(d + 3 - v - i - j, d - i - j)
+                if bj:
+                    t_j += -bi * bj if (i + j) & 1 else bi * bj
+        weights.append(t_j << (d - j))
+    return weights
+
+
 def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
     """Literal evaluation of the triple sum
 
         sum_{i<=d} sum_{j<=d-i} sum_{k<=j} (-1)^(i+j) 2^(d-j+k)
             C(A-v,i) C(d+3-v-i-j, d-i-j) C(M,k) C(N,j-k)
 
-    with no algebraic simplification (zero factors are merely skipped).
-    The sums run j outside i, so each Segre coefficient
-    S_j = sum_k 2^k C(M,k) C(N,j-k) is formed once, not once per i: a
-    reordering of the same finite sum of exact integers, O(d^2) lookups
-    instead of O(d^3).
+    with no algebraic simplification (zero factors are merely skipped):
+    the same finite sum of exact integers, grouped by distributivity as
+    sum_j S_j T_j with the k-sum S_j = `segre_constant(M, N, j)` and the
+    i-sum T_j = `_triple_weights(A, v, d)`[j], in O(d^2) lookups.
 
-    The one implementation of the Segre-weighted nested sum.  Its callers:
-    `triple_sum_sweep`, the benchmark's identity-sweep cases, and the raw
+    The one implementation of the Segre-weighted nested sum for one tuple,
+    called by the benchmark's identity-sweep cases and by the raw
     link-pairing oracle, which reads each of its six term-family weights
     from it at (M, N) = (-n', -n'') and the family's own (A, v).
+    `triple_sum_sweep` forms the same S and T lists, each once per box row.
     """
     if d < 0:
         raise InputError("d must be non-negative")
     if v not in (0, 1, 2, 3):
         raise InputError("v must lie in 0..3")
     total = 0
-    for j in range(d + 1):
-        s_j = 0
-        for k in range(j + 1):
-            bm = ext_binomial(M, k)
-            if bm:
-                bn = ext_binomial(N, j - k)
-                if bn:
-                    s_j += (bm * bn) << k
-        if not s_j:
-            continue
-        for i in range(d - j + 1):
-            bi = ext_binomial(A - v, i)
-            if not bi:
-                continue
-            bj = ext_binomial(d + 3 - v - i - j, d - i - j)
-            if bj:
-                term = (bi * bj * s_j) << (d - j)
-                total += -term if (i + j) & 1 else term
+    for j, t in enumerate(_triple_weights(A, v, d)):
+        if t:
+            total += t * segre_constant(M, N, j)
     return Fraction(total)
 
 
@@ -183,20 +197,22 @@ def triple_sum_sweep(
         triple_sum_lhs(A, M, N, d, v) = 2^d P^(3-N-A-M, A+M-4-d)_d(0)
 
     over a_range[0] <= A <= a_range[1], |M|, |N| <= mn_bound,
-    0 <= d <= d_max and v in 0..3.  Raises InputError when the box is
+    0 <= d <= d_max and v in 0..3, with S_0..S_dmax formed once per (M, N)
+    and the T lists once per (A, v, d).  Raises InputError when the box is
     empty: a sweep of nothing proves nothing.
     """
+    mn, js = range(-mn_bound, mn_bound + 1), range(d_max + 1)
+    s_rows = [(M, N, [segre_constant(M, N, j) for j in js]) for M in mn for N in mn]
     count = bad = 0
     for A in range(a_range[0], a_range[1] + 1):
-        for M in range(-mn_bound, mn_bound + 1):
-            for N in range(-mn_bound, mn_bound + 1):
-                for d in range(d_max + 1):
-                    jac = JacobiParams(3 - N - A - M, A + M - 4 - d, d)
-                    rhs = jacobi_at_zero(jac) * 2**d
-                    for v in range(4):
-                        count += 1
-                        if triple_sum_lhs(A, M, N, d, v) != rhs:
-                            bad += 1
+        for d in range(d_max + 1):
+            t_rows = [_triple_weights(A, v, d) for v in range(4)]
+            for M, N, s_row in s_rows:
+                rhs = jacobi_at_zero(JacobiParams(3 - N - A - M, A + M - 4 - d, d)) * 2**d
+                for t_row in t_rows:
+                    count += 1
+                    if sum(map(operator.mul, s_row, t_row)) != rhs:
+                        bad += 1
     if count == 0:
         raise InputError("the triple-sum sweep box is empty")
     return count, bad

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
-from .combinatorics import JacobiParams, ext_binomial, jacobi_at_zero, triple_sum_lhs
+from .combinatorics import JacobiParams, jacobi_at_zero, segre_constant, triple_sum_lhs
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -89,13 +89,10 @@ class SegreInput:
 
 
 def s_constants(n_prime: int, n_dblprime: int, j: int) -> int:
-    """S_j = sum_k 2^k C(-n', k) C(-n'', j-k)."""
+    """S_j = sum_k 2^k C(-n', k) C(-n'', j-k): `segre_constant(-n', -n'', j)`."""
     if j < 0:
         raise InputError("j must be non-negative")
-    return sum(
-        (ext_binomial(-n_prime, k) * ext_binomial(-n_dblprime, j - k)) << k
-        for k in range(j + 1)
-    )
+    return segre_constant(-n_prime, -n_dblprime, j)
 
 
 def segre_coefficient(inp: SegreInput) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from monolink import combinatorics
 from monolink.combinatorics import (
     JacobiParams,
     ext_binomial,
@@ -12,9 +13,10 @@ from monolink.combinatorics import (
     jacobi_via_hypergeometric,
     pochhammer,
     triple_sum_lhs,
+    triple_sum_sweep,
     vandermonde_check,
 )
-from monolink.errors import DivisionByZeroPochhammer
+from monolink.errors import DivisionByZeroPochhammer, InputError
 
 
 def test_pochhammer_basic():
@@ -166,6 +168,61 @@ def test_triple_sum_matches_literal_oracle():
                     for v in range(4):
                         got = triple_sum_lhs(A, M, N, d, v)
                         assert got == _triple_sum_oracle(A, M, N, d, v), (A, M, N, d, v)
+
+
+def _brute_force_sweep(a_range, mn_bound, d_max):
+    # One triple_sum_lhs call per tuple, the right side read through the module.
+    count = bad = 0
+    for A in range(a_range[0], a_range[1] + 1):
+        for M in range(-mn_bound, mn_bound + 1):
+            for N in range(-mn_bound, mn_bound + 1):
+                for d in range(d_max + 1):
+                    jac = JacobiParams(3 - N - A - M, A + M - 4 - d, d)
+                    rhs = 2**d * combinatorics.jacobi_at_zero(jac)
+                    for v in range(4):
+                        count += 1
+                        bad += triple_sum_lhs(A, M, N, d, v) != rhs
+    return count, bad
+
+
+SWEEP_BOXES = [((-2, 2), 1, 3), ((-6, -5), 2, 5), ((4, 4), 0, 8)]
+
+
+@pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
+def test_triple_sum_sweep_matches_brute_force(a_range, mn_bound, d_max):
+    count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+    assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max)
+    n_a = a_range[1] - a_range[0] + 1
+    assert count == n_a * (2 * mn_bound + 1) ** 2 * (d_max + 1) * 4
+    assert bad == 0
+
+
+@pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
+def test_triple_sum_sweep_counts_a_wrong_right_side(monkeypatch, a_range, mn_bound, d_max):
+    # Shift P(0) by one at the Jacobi triple of the box corner (A, M, N, d) =
+    # (a_min, -mn_bound, -mn_bound, d_max): the sweep must count exactly the
+    # mismatches the brute force counts, and some.
+    A, M, N, d = a_range[0], -mn_bound, -mn_bound, d_max
+    target = (3 - N - A - M, A + M - 4 - d, d)
+    real = combinatorics.jacobi_at_zero
+
+    def shifted(p):
+        return real(p) + ((p.a, p.b, p.d) == target)
+
+    monkeypatch.setattr(combinatorics, "jacobi_at_zero", shifted)
+    count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+    assert bad > 0
+    assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max)
+
+
+@pytest.mark.parametrize(
+    "a_range, mn_bound, d_max",
+    [((0, 3), 2, -1), ((1, 0), 2, 3), ((0, 3), -1, 3)],
+    ids=["d_max=-1", "a_min>a_max", "mn_bound=-1"],
+)
+def test_triple_sum_sweep_rejects_empty_box(a_range, mn_bound, d_max):
+    with pytest.raises(InputError):
+        triple_sum_sweep(a_range, mn_bound, d_max)
 
 
 def test_two_power_collapse_when_defined():
