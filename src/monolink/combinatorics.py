@@ -82,6 +82,12 @@ def jacobi_at_zero(p: JacobiParams) -> Fraction:
     return _jacobi_at_zero(p.a, p.b, p.d)
 
 
+def _pow2_jacobi_at_zero(a: int, b: int, d: int) -> int:
+    """The integer 2^d P^(a,b)_d(0): `_jacobi_at_zero`'s denominator divides 2^d."""
+    P = _jacobi_at_zero(a, b, d)
+    return (P.numerator << d) // P.denominator
+
+
 def jacobi_general(p: JacobiParams, zeta: Fraction) -> Fraction:
     """Full two-binomial sum at an arbitrary rational argument.
 
@@ -198,8 +204,9 @@ def triple_sum_sweep(
 
     over a_range[0] <= A <= a_range[1], |M|, |N| <= mn_bound,
     0 <= d <= d_max and v in 0..3, with S_0..S_dmax formed once per (M, N)
-    and the T lists once per (A, v, d).  Raises InputError when the box is
-    empty: a sweep of nothing proves nothing.
+    and the T lists once per (A, v, d); each tuple's int sum_j S_j T_j is
+    compared with the int 2^d P(0), formed once per (A, M, N, d).  Raises
+    InputError when the box is empty: a sweep of nothing proves nothing.
     """
     mn, js = range(-mn_bound, mn_bound + 1), range(d_max + 1)
     s_rows = [(M, N, [segre_constant(M, N, j) for j in js]) for M in mn for N in mn]
@@ -208,7 +215,7 @@ def triple_sum_sweep(
         for d in range(d_max + 1):
             t_rows = [_triple_weights(A, v, d) for v in range(4)]
             for M, N, s_row in s_rows:
-                rhs = jacobi_at_zero(JacobiParams(3 - N - A - M, A + M - 4 - d, d)) * 2**d
+                rhs = _pow2_jacobi_at_zero(3 - N - A - M, A + M - 4 - d, d)
                 for t_row in t_rows:
                     count += 1
                     if sum(map(operator.mul, s_row, t_row)) != rhs:

@@ -19,7 +19,9 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
-from .combinatorics import JacobiParams, jacobi_at_zero, segre_constant, triple_sum_lhs
+from .combinatorics import (
+    JacobiParams, _pow2_jacobi_at_zero, jacobi_at_zero, segre_constant, triple_sum_lhs
+)
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -100,15 +102,9 @@ def segre_coefficient(inp: SegreInput) -> int:
     return s_constants(inp.n_prime, inp.n_dblprime, inp.p)
 
 
-def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> int:
-    """Independent oracle: mu^p coefficient of the truncated series inverse
-    of the total Chern class (1+2mu)^n' (1+mu)^n''.
-
-    Works on integer coefficient lists: every factor has constant term 1,
-    so the Chern class and its inverse are integral.
-    """
-    if p < 0:
-        raise InputError("p must be non-negative")
+def _segre_inverse_series(n_prime: int, n_dblprime: int, p: int) -> list[int]:
+    """[c_0..c_p] of 1/((1+2mu)^n' (1+mu)^n'') on integer lists, exact as every
+    factor has constant term 1; entry q is the same for every truncation p >= q."""
     chern = [1] + [0] * p
     for slope, power in ((2, n_prime), (1, n_dblprime)):
         for _ in range(abs(power)):
@@ -121,23 +117,28 @@ def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> int
     inverse = [1]
     for k in range(1, p + 1):
         inverse.append(-sum(chern[j] * inverse[k - j] for j in range(1, k + 1)))
-    return inverse[p]
+    return inverse
+
+
+def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> int:
+    """Independent oracle: mu^p coefficient of the truncated series inverse
+    of the total Chern class (1+2mu)^n' (1+mu)^n''."""
+    if p < 0:
+        raise InputError("p must be non-negative")
+    return _segre_inverse_series(n_prime, n_dblprime, p)[p]
 
 
 def segre_inversion_sweep() -> tuple[int, int]:
     """(tuples checked, mismatches) of segre_coefficient against its
-    inversion oracle over |n'|, |n''| <= 5, 0 <= p <= 10."""
-    grid = [
-        (n1, n2, p)
-        for n1 in range(-5, 6)
-        for n2 in range(-5, 6)
-        for p in range(11)
-    ]
-    bad = sum(
-        segre_coefficient_by_inversion(*g) != segre_coefficient(SegreInput(*g))
-        for g in grid
-    )
-    return len(grid), bad
+    inversion oracle over |n'|, |n''| <= 5, 0 <= p <= 10: one inverse
+    series per (n', n'') at p = 10, each entry compared with its degree."""
+    count = bad = 0
+    for n1 in range(-5, 6):
+        for n2 in range(-5, 6):
+            for p, c in enumerate(_segre_inverse_series(n1, n2, 10)):
+                count += 1
+                bad += c != segre_coefficient(SegreInput(n1, n2, p))
+    return count, bad
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +267,8 @@ class _BracketClass(NamedTuple):
 
 
 def _pow2_jacobi(jac: JacobiParams) -> int:
-    """The integer 2^d P^(a,b)_d(0) for jac = (a, b, d)."""
-    P = jacobi_at_zero(jac)
-    return (P.numerator << jac.d) // P.denominator
+    """The integer 2^d P^(a,b)_d(0) for jac = (a, b, d), from `jacobi_at_zero`'s cache."""
+    return _pow2_jacobi_at_zero(jac.a, jac.b, jac.d)
 
 
 def _bracket_class(

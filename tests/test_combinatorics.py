@@ -200,19 +200,39 @@ def test_triple_sum_sweep_matches_brute_force(a_range, mn_bound, d_max):
 @pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
 def test_triple_sum_sweep_counts_a_wrong_right_side(monkeypatch, a_range, mn_bound, d_max):
     # Shift P(0) by one at the Jacobi triple of the box corner (A, M, N, d) =
-    # (a_min, -mn_bound, -mn_bound, d_max): the sweep must count exactly the
-    # mismatches the brute force counts, and some.
+    # (a_min, -mn_bound, -mn_bound, d_max), in `_jacobi_at_zero`, which both
+    # the sweep's integer 2^d P(0) and the brute force's `jacobi_at_zero`
+    # read: the sweep must count exactly the mismatches the brute force
+    # counts, and some.
     A, M, N, d = a_range[0], -mn_bound, -mn_bound, d_max
     target = (3 - N - A - M, A + M - 4 - d, d)
-    real = combinatorics.jacobi_at_zero
+    real = combinatorics._jacobi_at_zero
 
-    def shifted(p):
-        return real(p) + ((p.a, p.b, p.d) == target)
+    def shifted(a, b, d):
+        return real(a, b, d) + ((a, b, d) == target)
 
-    monkeypatch.setattr(combinatorics, "jacobi_at_zero", shifted)
+    monkeypatch.setattr(combinatorics, "_jacobi_at_zero", shifted)
     count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
     assert bad > 0
     assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max)
+
+
+def test_integer_right_side_on_the_default_box():
+    # Every (a, b, d) = (3-N-A-M, A+M-4-d, d) of the fuzz-identities default
+    # box (-6 <= A <= 10, |M|, |N| <= 6, d <= 8), negative a and b included:
+    # 2^d P(0) is an int, so P(0)'s denominator divides 2^d.
+    triples = {
+        (3 - N - A - M, A + M - 4 - d, d)
+        for A in range(-6, 11)
+        for M in range(-6, 7)
+        for N in range(-6, 7)
+        for d in range(9)
+    }
+    assert min(a for a, _, _ in triples) < 0 and min(b for _, b, _ in triples) < 0
+    for a, b, d in triples:
+        value = combinatorics._pow2_jacobi_at_zero(a, b, d)
+        assert type(value) is int
+        assert value == 2**d * jacobi_at_zero(JacobiParams(a, b, d)), (a, b, d)
 
 
 @pytest.mark.parametrize(

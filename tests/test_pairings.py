@@ -58,6 +58,29 @@ def test_segre_inversion_oracle_sample():
                 )
 
 
+def test_segre_inversion_sweep_counts_a_wrong_low_degree(monkeypatch):
+    # One (n', n'', p) with p < 10 off by one: the sweep reads every degree
+    # of its one series per (n', n''), not only the top one.
+    real = pairings.segre_coefficient
+
+    def shifted(inp):
+        return real(inp) + ((inp.n_prime, inp.n_dblprime, inp.p) == (-3, 2, 4))
+
+    monkeypatch.setattr(pairings, "segre_coefficient", shifted)
+    assert pairings.segre_inversion_sweep() == (1331, 1)
+
+
+def test_segre_oracle_is_an_entry_of_the_sweep_series():
+    # The sweep builds one series per (n', n'') at p = 10; the public oracle
+    # truncates at its own p, which leaves every lower entry unchanged.
+    for n1 in range(-5, 6):
+        for n2 in range(-5, 6):
+            series = pairings._segre_inverse_series(n1, n2, 10)
+            assert len(series) == 11
+            for p in range(11):
+                assert segre_coefficient_by_inversion(n1, n2, p) == series[p], (n1, n2, p)
+
+
 def test_instanton_pairing_table(k3):
     X = k3.manifold
     s = X.basic_classes[0]
