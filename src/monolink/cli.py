@@ -19,11 +19,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ._value import Value
 from .combinatorics import (
     ext_binomial,
     pochhammer,
@@ -59,8 +59,7 @@ CATALOG = ("k3", "e3", "e5")
 POCH_BOUND = 10
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Value):
     """A validated manifold fixture plus its declared attributes."""
 
     manifold: FourManifoldData

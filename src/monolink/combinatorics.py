@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .errors import DivisionByZeroPochhammer, InputError
 
 __all__ = [
@@ -55,17 +55,17 @@ def ext_binomial(r: int, ell: int) -> int:
     return -math.comb(ell - r - 1, ell) if ell & 1 else math.comb(ell - r - 1, ell)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(Value):
     """Integer parameter triple (a, b, d) of a constant-argument Jacobi value."""
 
     a: int
     b: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.d < 0:
+    def __init__(self, a: int, b: int, d: int) -> None:
+        if d < 0:
             raise InputError("Jacobi degree d must be non-negative")
+        vars(self).update(a=a, b=b, d=d)
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,12 @@ torsion-free throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
 from operator import index
 from typing import Iterable, Optional, Sequence
 
+from ._value import Value
 from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
 
 __all__ = [
@@ -38,8 +38,7 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise InputError(f"{what} must be integers, got {values}") from None
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Value):
     """An integral class, stored as coordinates in a fixed lattice basis."""
 
     coords: tuple[int, ...]
@@ -151,13 +150,11 @@ def _inertia(m: list[list[int]]) -> tuple[int, int, int]:
     return pos, neg, 0
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Value):
     """Symmetric integer Gram matrix with its verified positive-eigenvalue count."""
 
     gram: tuple[tuple[int, ...], ...]
     b_plus: int
-    b_minus: int = field(compare=False)
 
     def __init__(self, gram: Sequence[Sequence[int]], b_plus: Optional[int] = None) -> None:
         rows = tuple(_integers(row, "gram entries") for row in gram)
@@ -177,7 +174,7 @@ class IntersectionForm:
             )
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "b_plus", pos)
-        object.__setattr__(self, "b_minus", neg)
+        object.__setattr__(self, "b_minus", neg)  # a plain attribute, not in ==
         # Each row's nonzero (j, g_ij), which pairing walks; not a compared field.
         nonzeros = tuple(tuple((j, g) for j, g in enumerate(r) if g) for r in rows)
         object.__setattr__(self, "_rows", nonzeros)

@@ -8,9 +8,9 @@ or 8 either land on integers or raise NotDivisible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._value import Value
 from .errors import (
     EmptySupport,
     HypothesisViolated,
@@ -52,8 +52,7 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class SpincData:
+class SpincData(Value):
     """A spin-c structure: its first Chern class, invariant value, and the
     moduli-space moment <mu^(d_s/2), [M]> when the dimension is positive."""
 
@@ -62,8 +61,7 @@ class SpincData:
     moment: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SpinuData:
+class SpinuData(Value):
     """A spin-u structure: c1, first Pontrjagin number, and an integral
     lift w of its second Stiefel-Whitney class."""
 
@@ -72,8 +70,7 @@ class SpinuData:
     w: CohomologyClass
 
 
-@dataclass(frozen=True)
-class FourManifoldData:
+class FourManifoldData(Value):
     """Euler characteristic, signature, intersection form, basic classes.
 
     b1 = 0 is implicit.  chi+sigma = 0 (mod 4) always; the odd b2+ >= 3
@@ -169,8 +166,7 @@ def level(X: FourManifoldData, t: SpinuData, s: SpincData) -> int:
     return _exact_div(square(X.form, s.c1 - t.c1) - t.p1, 4, "level")
 
 
-@dataclass(frozen=True)
-class RAndIReport:
+class RAndIReport(Value):
     per_class: tuple[int, ...]
     r_min: int
     i_value: int
@@ -189,7 +185,7 @@ def r_and_i(
     if not supported:
         raise EmptySupport("r(lam) needs at least one class with sw != 0")
     i_val = square(X.form, lam) + c_of_X(X) + X.chi + X.sigma
-    return RAndIReport(per_class=per, r_min=min(supported), i_value=i_val)
+    return RAndIReport(per, min(supported), i_val)
 
 
 def degree_parity_ok(X: FourManifoldData, w: CohomologyClass, deg_z: int) -> bool:

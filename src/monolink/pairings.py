@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
 
+from ._value import Value
 from .combinatorics import (
     JacobiParams, _pow2_jacobi_at_zero, jacobi_at_zero, segre_constant, triple_sum_lhs
 )
@@ -77,17 +77,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SegreInput:
+class SegreInput(Value):
     """Index pair (n', n'') of the normal operator and the class degree p."""
 
     n_prime: int
     n_dblprime: int
     p: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0:
+    def __init__(self, n_prime: int, n_dblprime: int, p: int) -> None:
+        if p < 0:
             raise InputError("Segre degree p must be non-negative")
+        vars(self).update(n_prime=n_prime, n_dblprime=n_dblprime, p=p)
 
 
 def s_constants(n_prime: int, n_dblprime: int, j: int) -> int:
@@ -184,8 +184,7 @@ def instanton_pairing(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingInput:
+class PairingInput(Value):
     """Everything a level-one link pairing consumes.
 
     The spin-u structure t_prime is the ambient one (the stratum of s sits
@@ -245,8 +244,7 @@ class PairingInput:
         return self.s.moment
 
 
-@dataclass(frozen=True)
-class PairingValue:
+class PairingValue(Value):
     """A pairing as a homogeneous polynomial in h plus its value at the
     fixture's chosen h."""
 

@@ -19,8 +19,6 @@ back to the h-basis.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -28,6 +26,7 @@ from math import comb, factorial, gcd, lcm, perm
 from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._value import Value
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from .lattice import CohomologyClass, IntersectionForm
 
@@ -64,8 +63,7 @@ def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True)
-class TruncatedPolynomial:
+class TruncatedPolynomial(Value):
     """Polynomial with rational coefficients, truncated in total degree.
 
     The coefficient of x^e is terms[e] / den: `terms` maps exponent tuples
@@ -77,7 +75,7 @@ class TruncatedPolynomial:
 
     nvars: int
     bound: int
-    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], int] = {}  # read once: __post_init__ stores a new dict
 
     def __post_init__(self) -> None:
         _require_bound(self.bound)
@@ -306,6 +304,7 @@ class TruncatedPolynomial:
 
     def digest(self) -> str:
         """Short stable hash of the exact content."""
+        import hashlib  # not at the top: many runs never digest, and it costs ms
         h = hashlib.sha256(self.render().encode("utf-8")).hexdigest()
         return h[:12]
 
@@ -358,7 +357,8 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
 
 
 def zero(nvars: int, bound: int) -> TruncatedPolynomial:
-    return TruncatedPolynomial(nvars, bound, {})
+    _require_bound(bound)
+    return TruncatedPolynomial._fast(nvars, bound, {})
 
 
 def constant(value: Scalar, nvars: int, bound: int) -> TruncatedPolynomial:

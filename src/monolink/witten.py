@@ -9,11 +9,11 @@ c = -(7 chi + 11 sigma)/4.  All comparisons are exact rational equalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from ._value import Value
 from .combinatorics import JacobiParams
 from .errors import (
     BoundTooHigh,
@@ -305,8 +305,7 @@ def _render_part(p: TruncatedPolynomial) -> str:
     return f"<{len(p.terms)} terms; digest {p.digest()}>"
 
 
-@dataclass(frozen=True)
-class DegreeRow:
+class DegreeRow(Value):
     """Degree e of both series, kept in the span's reduced ring; the h-basis
     forms are expanded when first read, once for an equal row."""
 
@@ -314,6 +313,9 @@ class DegreeRow:
     span: Span
     lhs: TruncatedPolynomial
     rhs: TruncatedPolynomial
+
+    def __init__(self, degree, span, lhs, rhs) -> None:
+        vars(self).update(degree=degree, span=span, lhs=lhs, rhs=rhs)
 
     @property
     def equal(self) -> bool:
@@ -328,19 +330,20 @@ class DegreeRow:
         return self.donaldson if self.equal else self.span.expand(self.rhs)
 
 
-@dataclass(frozen=True)
-class VanishingRow:
+class VanishingRow(Value):
     degree: int
     expected: bool
     actual: bool
+
+    def __init__(self, degree, expected, actual) -> None:
+        vars(self).update(degree=degree, expected=expected, actual=actual)
 
     @property
     def consistent(self) -> bool:
         return self.actual or not self.expected
 
 
-@dataclass(frozen=True)
-class WittenReport:
+class WittenReport(Value):
     """Structured outcome of a full series comparison on one manifold."""
 
     manifold: str
@@ -512,16 +515,8 @@ def verify_witten(
         sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
     )
 
-    return WittenReport(
-        manifold=X.name,
-        w=w,
-        lam=lam,
-        c=c,
-        table=table,
-        vanishing=vanishing,
-        dinvar_point_ok=(point_lhs == point_rhs),
-        dinvar_ok=(top_lhs == top_rhs),
-    )
+    dinvar_point_ok, dinvar_ok = point_lhs == point_rhs, top_lhs == top_rhs
+    return WittenReport(X.name, w, lam, c, table, vanishing, dinvar_point_ok, dinvar_ok)
 
 
 def sign_change_check(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import settings
@@ -84,7 +83,7 @@ def blow_up_fixture(fx: Fixture, n: int) -> Fixture:
         classes = tuple(
             blow_up_spinc(s, k, X, blown) for s in X.basic_classes for k in (0, 1)
         )
-        X = replace(blown, basic_classes=classes)
+        X = FourManifoldData(blown.name, blown.chi, blown.sigma, blown.form, classes)
         w = CohomologyClass(w.coords + (1,))
         lam = CohomologyClass(lam.coords + (0,))
     return Fixture(X, w, lam, fx.attributes)

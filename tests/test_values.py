@@ -1,0 +1,191 @@
+"""Value semantics of monolink's immutable classes, and what importing the
+CLI loads.
+
+Every value class is immutable, compares equal only to an instance of the
+same class with equal fields, hashes by those fields, and takes its fields
+by position or by keyword.  Attributes derived on construction are not
+fields and stay out of `==`.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from monolink.cli import Fixture, load_catalog_fixture
+from monolink.combinatorics import JacobiParams
+from monolink.lattice import CohomologyClass, IntersectionForm, square
+from monolink.manifold import FourManifoldData, RAndIReport, SpincData, SpinuData
+from monolink.pairings import PairingInput, PairingValue, SegreInput
+from monolink.polyring import Span, TruncatedPolynomial
+from monolink.witten import DegreeRow, VanishingRow, WittenReport
+
+from conftest import eta_for
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FORM = IntersectionForm([[0, 1], [1, 0]])
+C = CohomologyClass((2, 0))
+S = SpincData(C, 1)
+X = FourManifoldData("h", 4, 0, FORM, (S,))
+SPAN = Span(FORM, [C])  # x = <C, h>, then u, v with Q(h) = uv
+P = TruncatedPolynomial(3, 3, {(1, 0, 0): 1, (0, 1, 1): Fraction(1, 2)})
+ROW = DegreeRow(0, SPAN, P, P)
+VROW = VanishingRow(0, True, True)
+
+
+def _k3_pairing_fields() -> dict:
+    fx = load_catalog_fixture("k3")
+    k3, s = fx.manifold, fx.manifold.basic_classes[0]
+    t = SpinuData(c1=fx.lam, p1=square(k3.form, s.c1 - fx.lam) - 4, w=fx.w)
+    h = CohomologyClass((1, 1) + (0,) * (k3.form.rank - 2))
+    return dict(X=k3, t_prime=t, s=s, delta=2, m=0, eta=eta_for(k3, t, 2), h=h)
+
+
+# class -> (its fields in order, positional arguments, keyword arguments);
+# the arguments name the fields in order, positional ones first.
+CASES = {
+    CohomologyClass: (("coords",), ((2, 0),), {}),
+    IntersectionForm: (("gram", "b_plus"), ([[0, 1], [1, 0]],), {"b_plus": 1}),
+    TruncatedPolynomial: (("nvars", "bound", "terms"), (2, 3), {"terms": {(1, 0): 1}}),
+    JacobiParams: (("a", "b", "d"), (1, 2, 3), {}),
+    SpincData: (("c1", "sw", "moment"), (C, 1), {"moment": 5}),
+    SpinuData: (("c1", "p1", "w"), (), {"c1": C, "p1": -4, "w": C}),
+    FourManifoldData: (
+        ("name", "chi", "sigma", "form", "basic_classes"),
+        ("h", 4, 0, FORM),
+        {"basic_classes": (S,)},
+    ),
+    RAndIReport: (("per_class", "r_min", "i_value"), ((1, 2), 1, 3), {}),
+    SegreInput: (("n_prime", "n_dblprime", "p"), (1, -2, 3), {}),
+    PairingInput: (
+        ("X", "t_prime", "s", "delta", "m", "eta", "h"), (), _k3_pairing_fields()
+    ),
+    PairingValue: (("polynomial", "at_h"), (P, Fraction(1, 2)), {}),
+    DegreeRow: (("degree", "span", "lhs", "rhs"), (0, SPAN, P), {"rhs": P}),
+    VanishingRow: (("degree", "expected", "actual"), (0,), {"expected": True, "actual": False}),
+    WittenReport: (
+        ("manifold", "w", "lam", "c", "table", "vanishing", "dinvar_point_ok", "dinvar_ok"),
+        ("h", C, C, 2, (ROW,), (VROW,)),
+        {"dinvar_point_ok": True, "dinvar_ok": False},
+    ),
+    Fixture: (("manifold", "w", "lam", "attributes"), (X, C, None), {"attributes": {}}),
+}
+IDS = [cls.__name__ for cls in CASES]
+
+
+def _build(cls):
+    _, args, kwargs = CASES[cls]
+    return cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_equal_values_hash_equal(cls):
+    fields, args, kwargs = CASES[cls]
+    a, b = _build(cls), _build(cls)
+    assert a is not b and a == b and not a != b
+    if cls is Fixture:  # its `attributes` is a dict, so it has no hash
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert a != tuple(getattr(a, f) for f in fields)
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_positional_and_keyword_calls_agree(cls):
+    fields, args, kwargs = CASES[cls]
+    by_position = cls(*args, *kwargs.values())
+    by_keyword = cls(**dict(zip(fields, args)), **kwargs)
+    assert by_position == _build(cls) == by_keyword
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_missing_or_unknown_argument_is_a_type_error(cls):
+    fields, args, kwargs = CASES[cls]
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*args, **kwargs, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*args, *kwargs.values(), "one too many")
+    if args:
+        with pytest.raises(TypeError):  # a field given twice
+            cls(*args, **kwargs, **{fields[0]: args[0]})
+
+
+@pytest.mark.parametrize("cls", CASES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(cls):
+    fields, _, _ = CASES[cls]
+    value = _build(cls)
+    for name in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    assert value == _build(cls)
+
+
+def test_equality_needs_the_same_class():
+    assert JacobiParams(1, 2, 3) != (1, 2, 3)
+    assert (1, 2, 3) != JacobiParams(1, 2, 3)
+    assert JacobiParams(1, 2, 3) != SegreInput(1, 2, 3)
+    assert SegreInput(1, 2, 3) != JacobiParams(1, 2, 3)
+    assert JacobiParams(1, 2, 3) != JacobiParams(1, 2, 4)
+
+
+def test_defaults():
+    assert SpincData(C, 1).moment is None
+    assert FourManifoldData("h", 4, 0, FORM).basic_classes == ()
+    zero_a, zero_b = TruncatedPolynomial(2, 3), TruncatedPolynomial(2, 3)
+    assert zero_a.terms == {} and zero_a.terms is not zero_b.terms
+    assert zero_a == TruncatedPolynomial(2, 3, {}) and zero_a.den == 1
+
+
+def test_derived_attributes_stay_out_of_equality():
+    a, b = _build(PairingInput), _build(PairingInput)
+    assert (a.d, a.jacobi, a.normal) == (b.d, b.jacobi, b.normal)
+    object.__setattr__(b, "d", a.d + 1)
+    object.__setattr__(b, "jacobi", JacobiParams(0, 0, 0))
+    object.__setattr__(b, "normal", (0, 0))
+    assert a == b and hash(a) == hash(b)
+    form = IntersectionForm([[0, 1], [1, 0]])
+    assert form.b_minus == 1
+    object.__setattr__(form, "b_minus", 7)
+    object.__setattr__(form, "_rows", ())
+    assert form == FORM and hash(form) == hash(FORM)
+
+
+def test_degree_row_expands_once():
+    row = DegreeRow(0, SPAN, P, P)
+    assert row.donaldson is row.donaldson and row.reference is row.donaldson
+    assert row == ROW
+
+
+def _fresh_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_importing_the_cli_leaves_out_dataclasses():
+    out = _fresh_python("import sys, monolink.cli; print('dataclasses' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", ["catalog", "fuzz-identities --d-max 1"])
+def test_commands_with_short_rows_leave_out_hashlib(argv):
+    code = (
+        "import contextlib, io, sys, monolink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = monolink.cli.main({argv.split()!r})\n"
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    assert _fresh_python(code).split() == ["0", "False"]

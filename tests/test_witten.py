@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from monolink import lattice, manifold, polyring, witten
 from monolink.errors import BoundTooHigh, EmptySupport, HypothesisViolated, NotCongruent
 from monolink.lattice import CohomologyClass, pair, square
-from monolink.manifold import SpincData, c_of_X, degree_parity_ok, r_and_i
+from monolink.manifold import FourManifoldData, SpincData, c_of_X, degree_parity_ok, r_and_i
 from monolink.polyring import linear_form, quadratic_form
 from monolink.witten import (
     assemble_donaldson_series,
@@ -201,12 +200,15 @@ def test_verify_hypothesis_failures(k3):
     with pytest.raises(HypothesisViolated, match="lam"):
         verify_witten(X, k3.w, bad_lam)
     with pytest.raises(HypothesisViolated, match="no basic classes"):
-        verify_witten(replace(X, basic_classes=()), k3.w, k3.lam)
+        verify_witten(FourManifoldData(X.name, X.chi, X.sigma, X.form), k3.w, k3.lam)
     # c1 = 2(e1 + f1) has square 8, while every class of a simple-type K3
     # has square 2 chi + 3 sigma = 0.
     extra = SpincData(2 * (_basis(0, 22) + _basis(1, 22)), sw=1)
     with pytest.raises(HypothesisViolated, match="not of simple type"):
-        verify_witten(replace(X, basic_classes=X.basic_classes + (extra,)), k3.w, k3.lam)
+        with_extra = FourManifoldData(
+            X.name, X.chi, X.sigma, X.form, X.basic_classes + (extra,)
+        )
+        verify_witten(with_extra, k3.w, k3.lam)
 
 
 def test_verify_requires_odd_b_plus(e3):
