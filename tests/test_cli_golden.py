@@ -1,7 +1,8 @@
 """Exit code and stdout digest of CLI commands whose output the other
-golden data never reaches: a verify run with unequal rows (every degree
-row expanded and rendered, the degree-4 rhs has 17,240 terms) and the
-public moment command on E(3) and E(5).  Also the exit code and stdout of
+golden data never reaches: verify runs with unequal rows (every degree
+row expanded and rendered; on E(3) the degree-4 rhs has 17,240 terms, on
+E(5) the largest row has 4,472) and the public moment command on E(3) and
+E(5).  Also the exit code and stdout of
 every command in the benchmark's `perfbench/reference.json`, read only.
 
 Run this file as a script to print the lines of `golden/cli_golden.txt`.
@@ -25,18 +26,22 @@ MOMENT_ARGVS = (
 )
 
 
-def broken_e3(directory: Path) -> Path:
-    """E(3) with the charge-conjugation sign of one basic class broken."""
-    text = resources.files("monolink").joinpath("fixtures/e3.json").read_text()
+def broken(name: str, directory: Path) -> Path:
+    """The fixture `name` with the charge-conjugation sign of its second
+    basic class broken: SW negated."""
+    text = resources.files("monolink").joinpath(f"fixtures/{name}.json").read_text()
     doc = json.loads(text)
-    doc["basic_classes"][1]["sw"] = 1
-    path = directory / "broken_e3.json"
+    doc["basic_classes"][1]["sw"] *= -1
+    path = directory / f"broken_{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
 def golden_lines(directory: Path) -> list[str]:
-    cases = [("verify broken_e3", ("verify", str(broken_e3(directory))))]
+    cases = [
+        (f"verify broken_{name}", ("verify", str(broken(name, directory))))
+        for name in ("e3", "e5")
+    ]
     cases += [(" ".join(argv), argv) for argv in MOMENT_ARGVS]
     lines = []
     for label, argv in cases:
