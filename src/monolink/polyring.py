@@ -460,7 +460,6 @@ class Span:
             self._quadratic_poly = TruncatedPolynomial._fast(
                 self.nvars, 2, {(0,) * k + (1, 1): 1}
             )
-        self._images: dict = {}
 
     def _reduce(self, cls: CohomologyClass) -> tuple[list, list, int]:
         """(remainder, c, m), all integers with m > 0, such that
@@ -511,50 +510,42 @@ class Span:
         return self._quadratic_poly.truncate(bound)
 
     def expand(self, p: TruncatedPolynomial) -> TruncatedPolynomial:
-        """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b."""
+        """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b, as one
+        `_sum_of_powers` with a walk per term.  A walk's base is the first of
+        the factors <v_1,h>..<v_k,h>, Q(h) with a nonzero power, and its
+        polynomial factor the product of the later factors' powers: itself
+        one walk, built once per distinct suffix of exponents."""
         if p.nvars != self.nvars:
             raise DimensionMismatch(
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
         if self.full_rank:
             return p
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
+        factors, rank, products = self._h_factors, self.form.rank, {}
+
+        def walk(powers: tuple, num: int, den: int) -> tuple:
+            """num/den prod f^e over the last len(powers) factors f, powers e."""
+            i = next((j for j, e in enumerate(powers) if e), 0)
+            rest = powers[i + 1 :]
+            f = products.get(rest)
+            if f is None and any(rest):
+                # Q(h) is the last factor: degree 2 per power.
+                f = products[rest] = _sum_of_powers(
+                    rank, sum(rest) + rest[-1], [walk(rest, 1, 1)]
+                )
+            return factors[len(factors) - len(powers) + i], powers[i], f, num, den
+
+        walks = []
         for expo, c in p.terms.items():
             a, (b, b_v) = expo[: self.k], expo[self.k :]
             if b != b_v:
                 raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
-            # The images are products of <v_i,h> and Q(h), whose coefficients
-            # come from the integer Gram matrix, so their den is 1.
-            for e, d in self._image(a, b).terms.items():
-                acc = get(e)
-                out[e] = c * d if acc is None else acc + c * d
-        clean = {e: c for e, c in out.items() if c}
-        return TruncatedPolynomial._fast(self.form.rank, p.bound, clean, p.den)
+            walks.append(walk(a + (b,), c, p.den))
+        return _sum_of_powers(rank, p.bound, walks)
 
     @cached_property
-    def _h_factors(self) -> tuple[list[TruncatedPolynomial], TruncatedPolynomial]:
-        """([<v_i,h> for each i], Q(h)) in the h-basis, built on the first expand."""
-        linear = [linear_form(v, self.form, 1) for v in self.basis]
-        return linear, quadratic_form(self.form, 2)
-
-    def _image(self, a: tuple[int, ...], b: int) -> TruncatedPolynomial:
-        """prod <v_i,h>^(a_i) Q(h)^b, with its degree as bound (memoised)."""
-        img = self._images.get((a, b))
-        if img is None:
-            deg = sum(a) + 2 * b
-            if deg == 0:
-                img = constant(1, self.form.rank, 0)
-            else:
-                if b:
-                    prev, factor = self._image(a, b - 1), self._h_factors[1]
-                else:
-                    i = max(j for j, e in enumerate(a) if e)
-                    lower = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                    prev, factor = self._image(lower, 0), self._h_factors[0][i]
-                # Both factors are exact homogeneous polynomials of degree at
-                # most deg, so raising their bound to deg drops nothing.
-                img = prev.truncate(deg) * factor.truncate(deg)
-            self._images[(a, b)] = img
-        return img
-
+    def _h_factors(self) -> list[TruncatedPolynomial]:
+        """[<v_1,h>, .., <v_k,h>, Q(h)] in the h-basis, built on the first expand."""
+        return [linear_form(v, self.form, 1) for v in self.basis] + [
+            quadratic_form(self.form, 2)
+        ]

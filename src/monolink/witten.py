@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from ._value import Value
-from .combinatorics import JacobiParams
+from .combinatorics import _pow2_jacobi_at_zero
 from .errors import (
     BoundTooHigh,
     HypothesisViolated,
@@ -35,7 +35,7 @@ from .manifold import (
     require_odd_b_plus,
 )
 from . import polyring
-from .pairings import _bracket_class, _bracket_forms, _bracket_walks, _pow2_jacobi
+from .pairings import _bracket_class, _bracket_walks
 from .polyring import Span, TruncatedPolynomial, _sum_of_powers, linear_form
 
 __all__ = [
@@ -186,9 +186,9 @@ def _level_one_classes(
         num = _sign_pow(_half(c1_lam, "c1.lam") + d) * signed_sw
         a, b = n_a - d, -d - chi_h
         if r_s == delta:
-            data = _pow2_jacobi(JacobiParams(a - 1, b, d))
+            data = _pow2_jacobi_at_zero(a - 1, b, d)
         else:
-            data = _bracket_class(bf, beta2, c1_lam - lam2, JacobiParams(a, b, d))
+            data = _bracket_class(bf, beta2, c1_lam - lam2, a, b, d)
         out.append((r_s, num, bf, data))
     return out
 
@@ -217,7 +217,9 @@ def _moments(
 ) -> dict[tuple[int, int], TruncatedPolynomial]:
     """{(delta, m): D(h^(delta-2m) x^m)} over `keys`, with `signed` =
     _signed_support(X, w).  `checked` is r_and_i(X, lam, X.support()) from
-    a caller that has already checked w - lam characteristic.
+    a caller that has already checked the hypotheses of every level its keys
+    reach: w - lam characteristic (level one), simple type and lam
+    orthogonal to the support (level zero).
 
     Only the moments the degree rule allows at or above r(lam) are entries;
     every other one is zero.  delta = r(lam) takes the level-zero formula
@@ -239,9 +241,10 @@ def _moments(
             continue
         if delta == info.r_min:
             if level_zero is None:
-                if not X.is_simple_type():
-                    raise HypothesisViolated("top-level moment formula needs simple type")
-                _require_orthogonal(X, lam)
+                if not checked:
+                    if not X.is_simple_type():
+                        raise HypothesisViolated("top-level moment formula needs simple type")
+                    _require_orthogonal(X, lam)
                 # Each class walks signed SW(s) <c1 - lam, h>^n, as a top class does.
                 level_zero = [(delta, signed_sw, bf, 1) for _, signed_sw, bf in classes]
             entry, scale = level_zero, _times_pow2(_sign_pow(m + 1), 2 - c_of_X(X))
@@ -250,7 +253,8 @@ def _moments(
                 if not (checked or is_characteristic(X.form, w - lam)):
                     raise HypothesisViolated("w - lam is not characteristic")
                 level_one = _level_one_classes(X, w2, info, classes, delta)
-                n_a, forms = (info.i_value - delta) // 4, _bracket_forms(span, lam)
+                n_a = (info.i_value - delta) // 4
+                forms = None, span.linear(lam, 2), span.quadratic(2)
             # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
             # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
             # times (-1)^eps (-2)^d SW(s), (-1)^d in num and 2^d in p = 2^d P.
@@ -485,7 +489,8 @@ def verify_witten(
     bound = c + 1
     span = _span(X, lam)
     signed = _signed_support(X, w)
-    moments = _moments(span, X, w, lam, signed, _series_keys(X, bound))
+    info = r_and_i(X, lam, X.support())
+    moments = _moments(span, X, w, lam, signed, _series_keys(X, bound), info)
     lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)

@@ -140,15 +140,24 @@ def test_cmd_verify_remaining_catalog():
         assert "verdict=ALL-PASS" in text
 
 
-def test_cmd_verify_renders_an_equal_row_once(count_calls):
+def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch):
     # An equal degree row's lhs and rhs are the same polynomial, so its text
-    # is rendered once and reused.
-    calls = count_calls(TruncatedPolynomial, "render")
+    # is rendered once and reused.  Rendering expands each row to the h-basis
+    # by walks, with no polynomial product.
+    calls = count_calls(TruncatedPolynomial, "render", "__mul__")
+    verify_witten = cli.verify_witten
+
+    def computed(*args, **kwargs):
+        report = verify_witten(*args, **kwargs)
+        calls.clear()  # from here on, only rendering the report counts
+        return report
+
+    monkeypatch.setattr(cli, "verify_witten", computed)
     for name, renders in (("k3", 4), ("e3", 5), ("e5", 7)):
-        calls.clear()
         code, text = _run("verify", name)
         assert code == 0, text
         assert calls["render"] == renders, name
+        assert calls["__mul__"] == 0, name
 
 
 def test_report_as_dict_roundtrips(k3):

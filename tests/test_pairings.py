@@ -23,7 +23,6 @@ from monolink.pairings import (
     PairingInput,
     SegreInput,
     _bracket_class,
-    _bracket_forms,
     _bracket_walks,
     b0_coefficient,
     blow_up_pairing_closed,
@@ -215,18 +214,11 @@ def test_closed_equals_raw_on_grid(synthetic_setups, k3, e3, e5):
 
 def test_raw_oracle_is_independent(count_calls, synthetic_setups, k3, e3, e5):
     # The nested-sum oracle shares none of the closed route's machinery: no
-    # bracket walks, classes or forms, no Jacobi value and no Span.  It may
-    # use comb, powers and _sum_of_powers, as any ring computation does.
+    # bracket walks or classes, no Jacobi value and no Span.  It may use
+    # comb, powers and _sum_of_powers, as any ring computation does.
     inputs = _grid_inputs(synthetic_setups, k3, e3, e5)
-    calls = count_calls(
-        pairings,
-        "_bracket_walks",
-        "_bracket_class",
-        "_bracket_forms",
-        "_pow2_jacobi",
-        "_bracket_closed",
-    )
-    count_calls(combinatorics, "jacobi_at_zero")
+    calls = count_calls(pairings, "_bracket_walks", "_bracket_class", "_bracket_closed")
+    count_calls(combinatorics, "jacobi_at_zero", "_pow2_jacobi_at_zero")
     count_calls(Span, "__init__")
     for inp in inputs:
         link_pairing_raw(inp)
@@ -255,8 +247,10 @@ def _streamed_bracket(X, span, c1, t, n, m, k, jac):
     turn the walks' p = 2^d P units into the reference's P units."""
     beta = c1 - t
     bf = span.linear(c1, 1, t)
-    cls = _bracket_class(bf, square(X.form, beta), pair(X.form, beta, t), jac)
-    forms = _bracket_forms(span, t)
+    cls = _bracket_class(
+        bf, square(X.form, beta), pair(X.form, beta, t), jac.a, jac.b, jac.d
+    )
+    forms = None, span.linear(t, 2), span.quadratic(2)
     walks = _bracket_walks(cls, forms, c1_squared(X), n, m, k, 1, 1 << jac.d)
     return _sum_of_powers(span.nvars, n - k, walks)
 
@@ -337,9 +331,9 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
     seen = []
     bracket_class = witten._bracket_class
 
-    def spy(bf, beta2, beta_t, jac):
-        seen.append((bf, jac))
-        return bracket_class(bf, beta2, beta_t, jac)
+    def spy(bf, beta2, beta_t, a, b, d):
+        seen.append((bf, JacobiParams(a, b, d)))
+        return bracket_class(bf, beta2, beta_t, a, b, d)
 
     monkeypatch.setattr(witten, "_bracket_class", spy)
     for fx in (k3, e3, e5):
@@ -461,9 +455,8 @@ def test_blow_up_oracle_is_independent(count_calls, blow_up_inputs):
     # The polarization oracle shares none of the closed route's machinery:
     # no bracket walks or Jacobi integers, no Span, no composition walk or
     # polynomial power, and no binomial coefficient counting the slots.
-    calls = count_calls(
-        pairings, "_bracket_walks", "_bracket_class", "_pow2_jacobi", "comb"
-    )
+    calls = count_calls(pairings, "_bracket_walks", "_bracket_class", "comb")
+    count_calls(combinatorics, "_pow2_jacobi_at_zero")
     count_calls(polyring, "_sum_of_powers")
     count_calls(TruncatedPolynomial, "__pow__")
     count_calls(Span, "__init__")
@@ -476,7 +469,8 @@ def test_blow_up_oracle_is_independent(count_calls, blow_up_inputs):
 def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
     # Both closed routes fold the sign, the power of 2, the moment and the
     # orientation sign into the bracket's walks, so neither makes a scalar
-    # pass over a polynomial.
+    # pass over a polynomial; they walk in the h-basis, so they build no
+    # Span and multiply no two polynomials.
     X, t, s = synthetic_setups["ds2"]
     h6 = CohomologyClass((1, 1, 0, 1, 0, 0))
     top = max_delta(X, t)
@@ -484,13 +478,14 @@ def test_closed_routes_scale_no_polynomial(count_calls, synthetic_setups, k3):
         PairingInput(X=X, t_prime=t, s=s, delta=delta, m=0, eta=top - delta, h=h6)
         for delta in (2, 3, 4)
     ]
-    calls = count_calls(TruncatedPolynomial, "__rmul__")
+    calls = count_calls(TruncatedPolynomial, "__rmul__", "__mul__")
+    count_calls(Span, "__init__")
     for inp in cases:
         calls.clear()
         assert not link_pairing_closed(inp).polynomial.is_zero()
         for k in (0, 2, 4):
             blow_up_pairing_closed(inp, k)
-        assert calls["__rmul__"] == 0, (inp.X.name, inp.delta, inp.m, calls)
+        assert not calls, (inp.X.name, inp.delta, inp.m, calls)
 
 
 def test_blow_up_reduces_to_base_at_k_zero(k3):
