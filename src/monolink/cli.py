@@ -31,6 +31,7 @@ from .combinatorics import (
     vandermonde_check,
 )
 from .errors import (
+    EmptySupport,
     FixtureError,
     HypothesisViolated,
     InputError,
@@ -189,12 +190,14 @@ def _resolve_fixture(ref: str) -> Fixture:
 
 def _print_checks(out, title: str, checks) -> int:
     """Print a CHECK line per (id, ok, detail) triple as it arrives, then the
-    SUMMARY line; 0 when every check passed, 1 otherwise."""
+    SUMMARY line; 0 when every check passed, 1 otherwise, EmptySupport if none."""
     total = failed = 0
     for check_id, ok, detail in checks:
         suffix = f" {detail}" if detail else ""
         print(f"CHECK {check_id} {'PASS' if ok else 'FAIL'}{suffix}", file=out)
         total, failed = total + 1, failed + (not ok)
+    if not total:
+        raise EmptySupport(f"{title} has no checks: its support is empty")
     print(
         f"SUMMARY {title} total={total} pass={total - failed} fail={failed} "
         f"verdict={'FAILURES' if failed else 'ALL-PASS'}",

@@ -48,6 +48,7 @@ from . import polyring
 from .polyring import (
     TruncatedPolynomial,
     _linear,
+    _power_table,
     _sum_of_powers,
     constant,
     linear_form,
@@ -252,11 +253,11 @@ class PairingValue(Value):
 
 
 class _BracketClass(NamedTuple):
-    """A class's level-one bracket data, beta = c1 - t: <beta,h> in the h-basis
-    or a Span's variables, beta^2, beta.t and, for its Jacobi triple (a, b,
-    d), the integers p = 2^d P^(a,b)_d(0) and p1 = 2^d P^(a-1,b+1)_d(0)."""
+    """A class's level-one bracket data, beta = c1 - t: the power table of
+    <beta,h> (h-basis or Span variables), beta^2, beta.t and, for its Jacobi
+    triple (a, b, d), the ints p = 2^d P^(a,b)_d(0), p1 = 2^d P^(a-1,b+1)_d(0)."""
 
-    bf: TruncatedPolynomial
+    bf: tuple
     beta2: int
     beta_t: int
     p: int
@@ -264,7 +265,7 @@ class _BracketClass(NamedTuple):
 
 
 def _bracket_class(
-    bf: TruncatedPolynomial, beta2: int, beta_t: int, a: int, b: int, d: int
+    bf: tuple, beta2: int, beta_t: int, a: int, b: int, d: int
 ) -> _BracketClass:
     p, p1 = _pow2_jacobi_at_zero(a, b, d), _pow2_jacobi_at_zero(a - 1, b + 1, d)
     return _BracketClass(bf, beta2, beta_t, p, p1)
@@ -279,8 +280,8 @@ def _bracket_walks(
     A <beta,h>^deg + B <beta,h>^(deg-1) <t,h> + C <beta,h>^(deg-2) Q(h), deg =
     n - k >= 0, A = a0 p + 2(beta.t) p1, B = 2 deg p1, C = 4 C(deg,2) p, a0 =
     3 beta^2 + c1_sq + 4n - 4m - 4 C(k+1,2), p = 2^d P and p1 = 2^d P1 from
-    `cls`, forms = (None for 1, <t,h>, Q(h)) in bf's variables.  Ratio-free:
-    no p1/p."""
+    `cls` (its table's top at least deg), forms = (None for 1, <t,h>, Q(h))
+    in bf's variables.  Ratio-free: no p1/p."""
     deg = n - k
     a0 = 3 * cls.beta2 + c1_sq + 4 * n - 4 * m - 4 * comb(k + 1, 2)
     coeffs = (a0 * cls.p + 2 * cls.beta_t * cls.p1, 2 * deg * cls.p1, 4 * comb(deg, 2) * cls.p)
@@ -294,12 +295,12 @@ def _bracket_walks(
 def _bracket_closed(inp: PairingInput, k: int, moment: int) -> PairingValue:
     """The level-one bracket for a pairing input with k exceptional slots,
     times (-1)^(m+1+d) 2^(d-delta) and `moment`, as one `_sum_of_powers`
-    walked straight in the h-basis."""
+    walked straight in the h-basis, its walks sharing one power table."""
     n, Q, c1, t = inp.delta - 2 * inp.m, inp.X.form, inp.s.c1, inp.t_prime.c1
     if n < k:
         return PairingValue(polyring.zero(Q.rank, 0), Fraction(0))
     beta, jac = c1 - t, inp.jacobi
-    bf = linear_form(beta, Q, 1)
+    bf = _power_table(linear_form(beta, Q, 1), n - k)
     cls = _bracket_class(bf, square(Q, beta), pair(Q, beta, t), jac.a, jac.b, jac.d)
     sign = -1 if (inp.m + 1 + inp.d) % 2 else 1
     num, forms = sign * moment, (None, linear_form(t, Q, 2), quadratic_form(Q, 2))

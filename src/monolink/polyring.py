@@ -9,7 +9,8 @@ operation is integer arithmetic with at most one gcd per result.
 or a Fraction, never a float.  `**` and `exp_series` generate their
 terms directly, without products of intermediate powers: `_sum_of_powers`
 adds walks num/den f p^n, the terms of p^n from one multinomial composition
-walk times a polynomial factor f, straight into one dict.
+walk times a polynomial factor f, straight into one dict; the base p comes
+as a `_power_table` that its caller builds once for all the walks of p.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
@@ -19,6 +20,7 @@ back to the h-basis.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -189,7 +191,7 @@ class TruncatedPolynomial(Value):
         """self^n in one `_sum_of_powers` walk; n < 0 goes via `inverse`."""
         if n < 0:
             return self.inverse() ** (-n)
-        return _sum_of_powers(self.nvars, self.bound, [(self, n, None, 1, 1)])
+        return _sum_of_powers(self.nvars, self.bound, [(_power_table(self, n), n, None, 1, 1)])
 
     # -- series operations ----------------------------------------------
 
@@ -241,12 +243,15 @@ class TruncatedPolynomial(Value):
     def homogeneous_part(self, d: int) -> "TruncatedPolynomial":
         if d < 0:
             raise InputError("degree must be non-negative")
-        return TruncatedPolynomial._fast(
-            self.nvars,
-            self.bound,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
-            self.den,
-        )
+        return self.homogeneous_parts(range(d, d + 1))[0]
+
+    def homogeneous_parts(self, degrees: range) -> list["TruncatedPolynomial"]:
+        """[homogeneous_part(d) for d in degrees], in one pass over the terms."""
+        parts = {d: {} for d in degrees}
+        for e, c in self.terms.items():
+            parts.get(sum(e), {})[e] = c  # a degree not asked for: a throwaway dict
+        make = TruncatedPolynomial._fast
+        return [make(self.nvars, self.bound, part, self.den) for part in parts.values()]
 
     def truncate(self, bound: int) -> "TruncatedPolynomial":
         _require_bound(bound)
@@ -303,27 +308,39 @@ class TruncatedPolynomial(Value):
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def digest(self) -> str:
-        """Short stable hash of the exact content."""
-        import hashlib  # not at the top: many runs never digest, and it costs ms
-        h = hashlib.sha256(self.render().encode("utf-8")).hexdigest()
-        return h[:12]
+        """12 hex digits of the sha256 of `render()`, by the builtin `_sha256`
+        (`_sha2` from 3.12) if any: `hashlib`, imported only here, loads OpenSSL."""
+        try:
+            sha = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+        except ImportError:
+            import hashlib as sha
+        return sha.sha256(self.render().encode("utf-8")).hexdigest()[:12]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
 
 
+def _power_table(p: TruncatedPolynomial, top: int) -> tuple:
+    """(p.den, [(|e|, [(k e, c^k) for k <= top])] over p's terms c x^e, sorted
+    by degree): the base of every `_sum_of_powers` walk of p^n, n <= top."""
+    return p.den, [
+        (d, [(tuple([k * x for x in e]), c**k) for k in range(top + 1)])
+        for d, e, c in sorted((sum(e), e, c) for e, c in p.terms.items())
+    ]
+
+
 def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
-    """sum of num/den f p^n over the walks (p, n, f, num, den), p a polynomial,
-    f a polynomial within `bound` or None for 1, and num, den ints with den >
-    0, into one dict over the lcm of den f.den p.den^n, truncated at `bound`.
-    Per walk: one power table [(k e, c^k) for k <= n] of p's terms c x^e, then
-    per term of f one pass over the compositions k of n over p's terms (n!/k!
-    prod_t c_t^k_t from running binomials), cut once no completion fits."""
-    dens = [wden * p.den**n * (1 if f is None else f.den) for p, n, f, _, wden in walks]
+    """sum of num/den f p^n over the walks (table, n, f, num, den), table the
+    `_power_table` of p to a top of at least n, f a polynomial within `bound`
+    or None for 1, and num, den ints with den > 0, into one dict over the lcm
+    of den f.den p.den^n, truncated at `bound`.  Per walk and term of f, one
+    pass over the compositions k of n over p's terms (n!/k! prod_t c_t^k_t from
+    running binomials and the table's powers), cut once no completion fits."""
+    dens = [wden * pden**n * (1 if f is None else f.den) for (pden, _), n, f, _, wden in walks]
     den, origin = lcm(*dens), (0,) * nvars
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for (p, n, f, num, _), wden in zip(walks, dens):
+    for ((_, items), n, f, num, _), wden in zip(walks, dens):
         acc = num * (den // wden)
         starts = [(origin, acc)] if f is None else [(e, acc * c) for e, c in f.terms.items()]
         if n == 0:
@@ -331,10 +348,6 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
                 out[key] = get(key, 0) + c
             continue
         # Sorted by degree, so a term too big for all that is left ends a walk.
-        items = [
-            (d, [(tuple([k * x for x in e]), c**k) for k in range(n + 1)])
-            for d, e, c in sorted((sum(e), e, c) for e, c in p.terms.items())
-        ]
         last = len(items) - 1
         # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
         # and the last term takes the rest.
@@ -514,14 +527,15 @@ class Span:
         `_sum_of_powers` with a walk per term.  A walk's base is the first of
         the factors <v_1,h>..<v_k,h>, Q(h) with a nonzero power, and its
         polynomial factor the product of the later factors' powers: itself
-        one walk, built once per distinct suffix of exponents."""
+        one walk.  A call builds each factor's power table and suffix product once."""
         if p.nvars != self.nvars:
             raise DimensionMismatch(
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
         if self.full_rank:
             return p
-        factors, rank, products = self._h_factors, self.form.rank, {}
+        rank, products = self.form.rank, {}
+        factors = [_power_table(f, p.bound) for f in self._h_factors]
 
         def walk(powers: tuple, num: int, den: int) -> tuple:
             """num/den prod f^e over the last len(powers) factors f, powers e."""

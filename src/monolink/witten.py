@@ -36,7 +36,7 @@ from .manifold import (
 )
 from . import polyring
 from .pairings import _bracket_class, _bracket_walks
-from .polyring import Span, TruncatedPolynomial, _sum_of_powers, linear_form
+from .polyring import Span, TruncatedPolynomial, _power_table, _sum_of_powers, linear_form
 
 __all__ = [
     "WittenReport",
@@ -155,12 +155,12 @@ def _level_one_classes(
     X: FourManifoldData, w2: int, info: RAndIReport, classes: list, delta: int
 ) -> list:
     """Checks the level-one formula's hypotheses at delta and returns [(r_s,
-    num, <c1 - lam, h>, data)] for the classes there: num = (-1)^((w^2 +
-    c1.(w-lam))/2 + d) SW(s), d = d_s/2, data the `_BracketClass` (r_s =
-    delta-4) or 2^d P^(a-1,b)_d(0) (r_s = delta), a = (i(lam) - delta)/4 - d,
-    b = -d - chi_h.  A moment table derives it once, with no pairing: beta =
-    c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s + c1^2(X), and `info`
-    (r_and_i over the support) gives r_s and lam^2."""
+    num, table, data)] for the classes there, table from `classes`: num =
+    (-1)^((w^2 + c1.(w-lam))/2 + d) SW(s), d = d_s/2, data the `_BracketClass`
+    (r_s = delta-4) or 2^d P^(a-1,b)_d(0) (r_s = delta), a = (i(lam) -
+    delta)/4 - d, b = -d - chi_h.  A moment table derives it once, with no
+    pairing: beta = c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s +
+    c1^2(X), and `info` (r_and_i over the support) gives r_s and lam^2."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
@@ -229,12 +229,14 @@ def _moments(
     degree rule, each class's <c1 - lam, h> and each level's data and
     hypotheses once per table, visiting the keys in order, so the first
     error raised does not depend on how the table is read.  Every class of
-    an entry streams into its one polynomial.
+    an entry streams into its one polynomial, from the class's one power
+    table of <c1 - lam, h>, built to the keys' largest n.
     """
     info = checked or r_and_i(X, lam, X.support())
     w2, signed = signed
     residue = _degree_residue(X, w2)
-    classes = [(s, signed_sw, span.linear(s.c1, 1, lam)) for s, signed_sw in signed]
+    top = max([delta - 2 * m for delta, m in keys], default=0)
+    classes = [(s, sw, _power_table(span.linear(s.c1, 1, lam), top)) for s, sw in signed]
     level_zero, level_one, table = None, None, {}
     for delta, m in keys:
         if delta < info.r_min or delta % 4 != residue:
@@ -276,15 +278,25 @@ def _moments(
     return table
 
 
+def _series_part(moments: Mapping, nvars: int, e: int, bound: int) -> TruncatedPolynomial:
+    """Degree e of the Donaldson series, D(h^e)/e! + D(h^e x)/(2 e!), read
+    from the table's entries (e, 0) and (e + 2, 1); a missing entry is 0."""
+    out = polyring.zero(nvars, bound)
+    for m in (0, 1):
+        moment = moments.get((e + 2 * m, m))
+        if moment is not None:
+            den = moment.den * math.factorial(e) << m
+            out = out + TruncatedPolynomial._fast(nvars, bound, dict(moment.terms), den)
+    return out
+
+
 def _assemble_donaldson_series(
     span: Span, moments: Mapping[tuple[int, int], TruncatedPolynomial], bound: int
 ) -> TruncatedPolynomial:
-    """sum over the table of D(h^(delta-2m) x^m) / ((delta-2m)! 2^m)."""
-    out = polyring.zero(span.nvars, bound)
-    for (delta, m), moment in moments.items():
-        scale = Fraction(1, math.factorial(delta - 2 * m) * 2**m)
-        out = out + scale * moment.truncate(bound)
-    return out
+    """The sum of the series' degree parts e <= bound, from a table over
+    `_series_keys(X, bound)`."""
+    parts = (_series_part(moments, span.nvars, e, bound) for e in range(bound + 1))
+    return sum(parts, polyring.zero(span.nvars, bound))
 
 
 def assemble_donaldson_series(
@@ -491,17 +503,16 @@ def verify_witten(
     signed = _signed_support(X, w)
     info = r_and_i(X, lam, X.support())
     moments = _moments(span, X, w, lam, signed, _series_keys(X, bound), info)
-    lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)
     rhs = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
     table = tuple(
-        DegreeRow(e, span, lhs.homogeneous_part(e), rhs.homogeneous_part(e))
-        for e in range(bound + 1)
+        DegreeRow(e, span, _series_part(moments, span.nvars, e, bound), rhs_e)
+        for e, rhs_e in enumerate(rhs.homogeneous_parts(range(bound + 1)))
     )
     # Degree d of sw is sum_s eps_s SW(s) <c1(s),h>^d / d!: the power sums
     # of the vanishing rows and both coefficient identities.
-    sw_parts = [sw.homogeneous_part(d) for d in range(bound + 1)]
+    sw_parts = sw.homogeneous_parts(range(bound + 1))
     vanishing = tuple(
         VanishingRow(
             d,

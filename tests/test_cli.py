@@ -243,6 +243,18 @@ def test_cmd_pairing_oracle():
     assert "CHECK pairing.s0.closed_vs_raw PASS" in text
 
 
+def test_cmd_pairing_with_no_basic_classes_is_an_input_error(tmp_path):
+    # No class means no check: that is exit 2 with one ERROR line, not an
+    # ALL-PASS summary of zero checks.
+    doc = json.loads(_catalog_text("k3"))
+    doc["basic_classes"] = []
+    path = tmp_path / "k3_empty.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run("pairing", str(path), "--delta", "2", "--m", "0")
+    assert code == 2
+    assert text == "ERROR EmptySupport: pairing:K3 has no checks: its support is empty\n"
+
+
 def test_cmd_pairing_blowup():
     code, text = _run(
         "pairing", "k3", "--delta", "2", "--m", "0", "--blowup-k", "1"

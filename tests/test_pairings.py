@@ -34,7 +34,9 @@ from monolink.pairings import (
     segre_coefficient,
     segre_coefficient_by_inversion,
 )
-from monolink.polyring import Span, TruncatedPolynomial, _sum_of_powers, quadratic_form
+from monolink.polyring import (
+    Span, TruncatedPolynomial, _power_table, _sum_of_powers, quadratic_form
+)
 
 from conftest import eta_for, max_delta
 
@@ -246,7 +248,7 @@ def _streamed_bracket(X, span, c1, t, n, m, k, jac):
     `_bracket_walks` for beta = c1 - t, of bound n - k, divided by 2^d to
     turn the walks' p = 2^d P units into the reference's P units."""
     beta = c1 - t
-    bf = span.linear(c1, 1, t)
+    bf = _power_table(span.linear(c1, 1, t), n - k)
     cls = _bracket_class(
         bf, square(X.form, beta), pair(X.form, beta, t), jac.a, jac.b, jac.d
     )
@@ -327,8 +329,14 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
     # At delta = r(lam)+4 and t' = (lam, -delta - 3 chi_h, w) a level-one
     # class's pairing input stores (n_a - d, -d - chi_h, d), n_a =
     # (i(lam) - delta)/4: the triple the Donaldson moment derives for that
-    # class's bracket, which it tells apart by <c1 - lam, h>.
+    # class's bracket, which it tells apart by the power table of <c1 - lam,
+    # h> it walks.
     seen = []
+
+    def frozen(table):
+        den, items = table
+        return den, tuple((d, tuple(steps)) for d, steps in items)
+
     bracket_class = witten._bracket_class
 
     def spy(bf, beta2, beta_t, a, b, d):
@@ -345,11 +353,14 @@ def test_stored_jacobi_triple_matches_the_moment_layer(monkeypatch, k3, e3, e5):
         level_one = [s for s in X.support() if level(X, t, s) == 1]
         assert level_one
         span = witten._span(X, fx.lam)
-        c1_of = {span.linear(s.c1, 1, fx.lam): s.c1 for s in X.support()}
         for m in range(delta // 2 + 1):
+            c1_of = {
+                frozen(_power_table(span.linear(s.c1, 1, fx.lam), delta - 2 * m)): s.c1
+                for s in X.support()
+            }
             seen.clear()
             witten.donaldson_moment(X, fx.w, fx.lam, delta, m)
-            by_c1 = {c1_of[bf]: jac for bf, jac in seen}
+            by_c1 = {c1_of[frozen(bf)]: jac for bf, jac in seen}
             assert len(by_c1) == len(seen)
             assert set(by_c1) == {s.c1 for s in level_one}
             for s in level_one:

@@ -1,3 +1,5 @@
+import sys
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +10,7 @@ from monolink.errors import DimensionMismatch, InputError, NonzeroConstantTerm
 from monolink.lattice import CohomologyClass, IntersectionForm, blow_up, pair
 from monolink.polyring import (
     TruncatedPolynomial,
+    _power_table,
     _sum_of_powers,
     constant,
     linear_form,
@@ -164,11 +167,12 @@ _HALF_X_PLUS_Y = {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 3), (0, 1): Fract
 def test_sum_of_powers_matches_fraction_oracle(walk_inputs, bound):
     # Walks (p, n, f, num, den) with mixed n, f None (for 1) or a polynomial
     # with several terms, a denominator and a constant term: the sum of
-    # num/den f p^n, truncated at bound.
+    # num/den f p^n, truncated at bound, each base p tabulated past n.
     walks, want = [], {}
     for p_in, n, f_in, num, den in walk_inputs:
         f = None if f_in is None else TruncatedPolynomial(2, bound, f_in)
-        walks.append((TruncatedPolynomial(2, bound, p_in), n, f, num, den))
+        table = _power_table(TruncatedPolynomial(2, bound, p_in), n + 2)
+        walks.append((table, n, f, num, den))
         term = ref_pow(ref_clean(p_in, bound), n, 2, bound)
         if f_in is not None:
             term = ref_mul(ref_clean(f_in, bound), term, bound)
@@ -278,6 +282,10 @@ def test_homogeneous_parts_resum():
     for d in range(5):
         resum = resum + p.homogeneous_part(d)
     assert resum == p
+    # The one-pass split gives the same parts, empty past the top degree.
+    assert p.homogeneous_parts(range(8)) == [p.homogeneous_part(d) for d in range(8)]
+    assert p.homogeneous_parts(range(2, 4)) == [h1() * h2(), zero(2, 4)]
+    assert p.homogeneous_parts(range(0)) == []
 
 
 def test_linear_form_examples():
@@ -313,6 +321,26 @@ def test_render_deterministic():
     q = TruncatedPolynomial(2, 4, {(0, 0): -1, (1, 0): 1, (0, 2): -1, (2, 1): Fraction(-3, 4)})
     assert q.render() == "-1 + h1 - h2^2 - 3/4*h1^2*h2"
     assert p.digest() == p.digest()
+
+
+@pytest.mark.parametrize("builtin", ["_sha256", "_sha2", None])
+def test_digest_is_the_sha256_of_the_text(monkeypatch, builtin):
+    # The builtin sha256 of this Python (`_sha256` to 3.11, `_sha2` from
+    # 3.12) hashes the rendered text; with both blocked, `hashlib` does.
+    # Either way the digest is the first 12 hex digits of its sha256.
+    import hashlib
+
+    p = TruncatedPolynomial(3, 4, {(1, 0, 2): Fraction(-3, 4), (0, 1, 0): 5, (0, 0, 0): 1})
+    text = p.render().encode("utf-8")
+    hashed = []
+    if builtin is not None:
+        module = pytest.importorskip(builtin)
+        spy = types.SimpleNamespace(sha256=lambda data: hashed.append(data) or module.sha256(data))
+        monkeypatch.setitem(sys.modules, builtin, spy)
+    for other in {"_sha256", "_sha2"} - {builtin}:
+        monkeypatch.setitem(sys.modules, other, None)
+    assert p.digest() == hashlib.sha256(text).hexdigest()[:12]
+    assert hashed == ([] if builtin is None else [text])
 
 
 def parse_rendered(text, nvars):

@@ -189,3 +189,19 @@ def test_commands_with_short_rows_leave_out_hashlib(argv):
         "print(code, '_hashlib' in sys.modules)"
     )
     assert _fresh_python(code).split() == ["0", "False"]
+
+
+def test_verify_digests_without_hashlib():
+    # `verify k3` digests its 33-term degree-2 row with the builtin sha256
+    # (`_sha256` to 3.11, `_sha2` from 3.12), so OpenSSL's `_hashlib` stays
+    # out; this Python must have the builtin for the check to mean anything.
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    code = (
+        "import contextlib, io, sys, monolink.cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = monolink.cli.main(['verify', 'k3'])\n"
+        f"print(code, 'digest' in buf.getvalue(), {builtin!r} in sys.modules, "
+        "'_hashlib' in sys.modules)"
+    )
+    assert _fresh_python(code).split() == ["0", "True", "True", "False"]

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -317,6 +318,46 @@ def test_verify_computes_each_moment_once(count_calls, e3, e5):
         assert report.passed
         assert calls["_sum_of_powers"] == entries, (fx.manifold.name, calls)
         assert calls["r_and_i"] == 1, (fx.manifold.name, calls)
+
+
+def test_verify_tabulates_each_class_once(count_calls, k3, e3, e5):
+    # One power table of <c1 - lam, h> per class serves the level-zero walks
+    # and every bracket walk of every entry; the rows read the entries, so
+    # the series is never assembled.
+    calls = count_calls(polyring, "_power_table")
+    count_calls(witten, "_assemble_donaldson_series")
+    for fx, classes in ((k3, 1), (e3, 2), (e5, 4)):
+        calls.clear()
+        report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
+        assert report.passed
+        assert len(fx.manifold.support()) == classes
+        assert calls["_power_table"] == classes, (fx.manifold.name, calls)
+        assert calls["_assemble_donaldson_series"] == 0, (fx.manifold.name, calls)
+
+
+@pytest.mark.parametrize(
+    "name, blow_ups", [("k3", 0), ("e3", 0), ("e5", 0), ("e3", 1), ("e3", 2), ("e5", 1), ("e5", 2)]
+)
+def test_rows_read_from_entries_match_the_assembled_series(request, name, blow_ups):
+    fx = blow_up_fixture(request.getfixturevalue(name), blow_ups)
+    X, w, lam = fx.manifold, fx.w, fx.lam
+    report = verify_witten(X, w, lam, attributes=fx.attributes)
+    assert report.passed
+    bound = report.c + 1
+    span = witten._span(X, lam)
+    moments = witten._moments(
+        span, X, w, lam, witten._signed_support(X, w), witten._series_keys(X, bound)
+    )
+    series = witten._assemble_donaldson_series(span, moments, bound)
+    # The series' weighting, written out here once more as its oracle.
+    weighted = polyring.zero(span.nvars, bound)
+    for (delta, m), moment in moments.items():
+        scale = Fraction(1, factorial(delta - 2 * m) * 2**m)
+        weighted = weighted + scale * moment.truncate(bound)
+    assert series == weighted
+    assert [row.degree for row in report.table] == list(range(bound + 1))
+    for row in report.table:
+        assert row.lhs == series.homogeneous_part(row.degree), (X.name, row.degree)
 
 
 def test_donaldson_moment_derives_r_and_i_once(count_calls, e3):
