@@ -4,50 +4,3 @@ series identities, built on level-one monopole link pairings.
 Everything is computed over arbitrary-precision rationals; every closed
 formula ships with an independent brute-force oracle.
 """
-
-from .combinatorics import (
-    JacobiParams,
-    ext_binomial,
-    hypergeometric_terminating,
-    jacobi_at_zero,
-    jacobi_general,
-    pochhammer,
-    triple_sum_lhs,
-    vandermonde_check,
-)
-from .lattice import (
-    CohomologyClass,
-    IntersectionForm,
-    blow_up,
-    find_hyperbolic_pair,
-    is_characteristic,
-    is_good,
-    lambda_candidates,
-    orthogonal_complement,
-    pair,
-)
-from .manifold import FourManifoldData, SpincData, SpinuData
-from .pairings import (
-    PairingInput,
-    PairingValue,
-    SegreInput,
-    blow_up_pairing_closed,
-    blow_up_pairing_polarized,
-    instanton_pairing,
-    link_pairing_closed,
-    link_pairing_raw,
-    segre_coefficient,
-    segre_coefficient_by_inversion,
-)
-from .polyring import TruncatedPolynomial, linear_form, quadratic_form
-from .witten import (
-    WittenReport,
-    assemble_donaldson_series,
-    donaldson_moment,
-    sign_change_check,
-    sw_series,
-    sw_vanishing_check,
-    verify_witten,
-)
-
-__version__ = "0.1.0"

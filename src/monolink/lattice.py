@@ -183,10 +183,6 @@ class IntersectionForm(Value):
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def signature(self) -> int:
-        return self.b_plus - self.b_minus
-
     def apply(self, v: CohomologyClass) -> tuple[int, ...]:
         """Row vector v^T . gram."""
         self._require_rank(v)

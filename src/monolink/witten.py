@@ -9,7 +9,6 @@ c = -(7 chi + 11 sigma)/4.  All comparisons are exact rational equalities.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -322,8 +321,8 @@ def _render_part(p: TruncatedPolynomial) -> str:
 
 
 class DegreeRow(Value):
-    """Degree e of both series, kept in the span's reduced ring; the h-basis
-    forms are expanded when first read, once for an equal row."""
+    """Degree e of both series, kept in the span's reduced ring; only
+    `WittenReport.check_lines` expands them to the h-basis."""
 
     degree: int
     span: Span
@@ -336,14 +335,6 @@ class DegreeRow(Value):
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
-
-    @cached_property
-    def donaldson(self) -> TruncatedPolynomial:
-        return self.span.expand(self.lhs)
-
-    @cached_property
-    def reference(self) -> TruncatedPolynomial:
-        return self.donaldson if self.equal else self.span.expand(self.rhs)
 
 
 class VanishingRow(Value):
@@ -399,40 +390,12 @@ class WittenReport(Value):
             and self.vanishing_ok
         )
 
-    def as_dict(self) -> dict:
-        """JSON-ready deterministic summary."""
-        return {
-            "manifold": self.manifold,
-            "w": list(self.w.coords),
-            "lambda": list(self.lam.coords),
-            "c": self.c,
-            "table": [
-                {
-                    "degree": row.degree,
-                    "donaldson": row.donaldson.render(),
-                    "reference": row.reference.render(),
-                    "equal": row.equal,
-                }
-                for row in self.table
-            ],
-            "vanishing": [
-                {
-                    "degree": row.degree,
-                    "expected": row.expected,
-                    "actual": row.actual,
-                    "consistent": row.consistent,
-                }
-                for row in self.vanishing
-            ],
-            "congruence_low": self.congruence_low,
-            "congruence_main": self.congruence_main,
-            "dinvar_point_ok": self.dinvar_point_ok,
-            "dinvar_ok": self.dinvar_ok,
-            "passed": self.passed,
-        }
-
     def check_lines(self) -> list[tuple[str, bool, str]]:
-        """(check id, pass/fail, detail) triples in deterministic order."""
+        """(check id, pass/fail, detail) triples in deterministic order.
+
+        The one place a degree row becomes text: each side is expanded to
+        the h-basis with `row.span.expand` and rendered, an equal row's
+        once."""
         lines: list[tuple[str, bool, str]] = []
         lines.append(
             (
@@ -442,9 +405,8 @@ class WittenReport(Value):
             )
         )
         for row in self.table:
-            # An equal row's sides are the same polynomial: render it once.
-            lhs = _render_part(row.donaldson)
-            rhs = lhs if row.equal else _render_part(row.reference)
+            lhs = _render_part(row.span.expand(row.lhs))
+            rhs = lhs if row.equal else _render_part(row.span.expand(row.rhs))
             lines.append((f"degree.{row.degree}", row.equal, f"lhs={lhs} rhs={rhs}"))
         lines.append(
             (

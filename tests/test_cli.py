@@ -16,7 +16,9 @@ from monolink.cli import (
     parse_fixture,
 )
 from monolink.errors import HypothesisViolated, InvariantError, ParseError, SchemaError
-from monolink.polyring import TruncatedPolynomial
+from monolink.polyring import Span, TruncatedPolynomial
+
+from test_cli_golden import broken
 
 
 def _minimal_doc():
@@ -140,11 +142,12 @@ def test_cmd_verify_remaining_catalog():
         assert "verdict=ALL-PASS" in text
 
 
-def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch):
-    # An equal degree row's lhs and rhs are the same polynomial, so its text
-    # is rendered once and reused.  Rendering expands each row to the h-basis
-    # by walks, with no polynomial product.
+def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch, tmp_path):
+    # An equal degree row's lhs and rhs are the same polynomial, so it is
+    # expanded and rendered once; an unequal row expands and renders each
+    # side.  Expanding a row to the h-basis walks, with no polynomial product.
     calls = count_calls(TruncatedPolynomial, "render", "__mul__")
+    count_calls(Span, "expand")
     verify_witten = cli.verify_witten
 
     def computed(*args, **kwargs):
@@ -153,20 +156,12 @@ def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch):
         return report
 
     monkeypatch.setattr(cli, "verify_witten", computed)
-    for name, renders in (("k3", 4), ("e3", 5), ("e5", 7)):
+    cases = [("k3", 0, 4), ("e3", 0, 5), ("e5", 0, 7), (str(broken("e3", tmp_path)), 1, 10)]
+    for name, exit_code, renders in cases:
         code, text = _run("verify", name)
-        assert code == 0, text
-        assert calls["render"] == renders, name
+        assert code == exit_code, text
+        assert calls["expand"] == calls["render"] == renders, name
         assert calls["__mul__"] == 0, name
-
-
-def test_report_as_dict_roundtrips(k3):
-    from monolink.witten import verify_witten
-
-    report = verify_witten(k3.manifold, k3.w, k3.lam)
-    blob = json.dumps(report.as_dict(), sort_keys=True)
-    assert json.dumps(report.as_dict(), sort_keys=True) == blob
-    assert json.loads(blob)["passed"] is True
 
 
 def test_cmd_verify_input_error():

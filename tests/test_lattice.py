@@ -70,7 +70,6 @@ def test_signature(form_h, k3):
     assert form_h.b_plus == 1 and form_h.b_minus == 1
     assert k3.manifold.form.b_plus == 3
     assert k3.manifold.form.b_minus == 19
-    assert k3.manifold.form.signature == -16
 
 
 def test_pair_examples(form_h, k3):

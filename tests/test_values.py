@@ -1,5 +1,5 @@
-"""Value semantics of monolink's immutable classes, and what importing the
-CLI loads.
+"""Value semantics of monolink's immutable classes, and what importing a
+layer or the CLI loads.
 
 Every value class is immutable, compares equal only to an instance of the
 same class with equal fields, hashes by those fields, and takes its fields
@@ -162,17 +162,28 @@ def test_derived_attributes_stay_out_of_equality():
     assert form == FORM and hash(form) == hash(FORM)
 
 
-def test_degree_row_expands_once():
-    row = DegreeRow(0, SPAN, P, P)
-    assert row.donaldson is row.donaldson and row.reference is row.donaldson
-    assert row == ROW
-
-
 def _fresh_python(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
+
+
+def _fresh_modules(module: str) -> set[str]:
+    code = f"import sys, {module}; print(*[m for m in sys.modules if m.startswith('monolink')])"
+    return set(_fresh_python(code).split())
+
+
+def test_combinatorics_loads_no_other_layer():
+    assert _fresh_modules("monolink.combinatorics") == {
+        "monolink", "monolink._value", "monolink.errors", "monolink.combinatorics"
+    }
+
+
+def test_lattice_loads_neither_polyring_nor_witten():
+    loaded = _fresh_modules("monolink.lattice")
+    assert "monolink.lattice" in loaded
+    assert not loaded & {"monolink.polyring", "monolink.witten"}
 
 
 def test_importing_the_cli_leaves_out_dataclasses():
