@@ -41,7 +41,9 @@ from .errors import (
     SchemaError,
 )
 from .lattice import CohomologyClass, IntersectionForm, square
-from .manifold import FourManifoldData, SpincData, SpinuData, dims_asd, dim_sw
+from .manifold import (
+    FourManifoldData, SpincData, SpinuData, dims_asd, dim_sw, require_odd_b_plus
+)
 from .pairings import (
     PairingInput,
     blow_up_pairing_closed,
@@ -51,8 +53,6 @@ from .pairings import (
     segre_inversion_sweep,
 )
 from .witten import donaldson_moment, verify_witten
-
-__all__ = ["Fixture", "load_fixture", "load_catalog_fixture", "main"]
 
 CATALOG = ("k3", "e3", "e5")
 
@@ -93,6 +93,8 @@ def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be an object")
     name = _expect(doc, "name", str, where)
+    if not name.isprintable():
+        raise SchemaError(f"{where}: field 'name' must be one printable line")
     chi = _expect(doc, "chi", int, where)
     sigma = _expect(doc, "sigma", int, where)
     b_plus = _expect(doc, "b_plus", int, where)
@@ -100,10 +102,9 @@ def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
     rows = [_int_vector(r, f"{where}.gram") for r in gram_raw]
     try:
         form = IntersectionForm(rows, b_plus=b_plus)
+        require_odd_b_plus(FourManifoldData(name, chi, sigma, form))
     except MonolinkError as exc:
         raise InvariantError(f"{where}: {exc}") from exc
-    if form.b_plus < 3 or form.b_plus % 2 == 0:
-        raise InvariantError(f"{where}: b2+ must be odd >= 3, got {form.b_plus}")
 
     classes = []
     for idx, entry in enumerate(_expect(doc, "basic_classes", list, where)):
@@ -115,8 +116,6 @@ def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
         moment = entry.get("moment")
         if moment is not None and (isinstance(moment, bool) or not isinstance(moment, int)):
             raise SchemaError(f"{tag}: moment must be an integer")
-        if len(c1) != form.rank:
-            raise InvariantError(f"{tag}: class length != form rank")
         classes.append(SpincData(CohomologyClass(c1), sw, moment))
 
     try:
@@ -214,7 +213,8 @@ def _require_w_lambda(fx: Fixture) -> tuple[CohomologyClass, CohomologyClass]:
     return fx.w, fx.lam
 
 
-def cmd_verify(fx: Fixture, out) -> int:
+def cmd_verify(args, out) -> int:
+    fx = _resolve_fixture(args.fixture)
     w, lam = _require_w_lambda(fx)
     report = verify_witten(fx.manifold, w, lam, attributes=fx.attributes)
     print(
@@ -225,11 +225,13 @@ def cmd_verify(fx: Fixture, out) -> int:
     return _print_checks(out, f"verify:{report.manifold}", report.check_lines())
 
 
-def cmd_moment(fx: Fixture, delta: int, m: int, out) -> int:
+def cmd_moment(args, out) -> int:
+    fx = _resolve_fixture(args.fixture)
     w, lam = _require_w_lambda(fx)
-    poly = donaldson_moment(fx.manifold, w, lam, delta, m)
+    poly = donaldson_moment(fx.manifold, w, lam, args.delta, args.m)
     print(
-        f"MOMENT manifold={fx.manifold.name} delta={delta} m={m} value={poly.render()}",
+        f"MOMENT manifold={fx.manifold.name} delta={args.delta} m={args.m} "
+        f"value={poly.render()}",
         file=out,
     )
     return 0
@@ -253,26 +255,21 @@ def _pairing_inputs(fx: Fixture, delta: int, m: int, h: CohomologyClass):
         )
 
 
-def cmd_pairing(
-    fx: Fixture,
-    delta: int,
-    m: int,
-    h: Optional[CohomologyClass],
-    oracle: bool,
-    blowup_k: Optional[int],
-    out,
-) -> int:
+def cmd_pairing(args, out) -> int:
+    fx = _resolve_fixture(args.fixture)
+    blowup_k = args.blowup_k
     if blowup_k is not None and blowup_k < 0:
         raise InputError("k must be non-negative")
     X = fx.manifold
+    h = args.h
     if h is None:
         h = CohomologyClass.basis_vector(0, X.form.rank)
 
     def checks():
-        for idx, inp in enumerate(_pairing_inputs(fx, delta, m, h)):
+        for idx, inp in enumerate(_pairing_inputs(fx, args.delta, args.m, h)):
             closed = link_pairing_closed(inp)
             detail = f"value={closed.at_h} poly={closed.polynomial.render()}"
-            if oracle:
+            if args.oracle:
                 raw = link_pairing_raw(inp)
                 ok = closed.polynomial == raw.polynomial and closed.at_h == raw.at_h
                 yield f"pairing.s{idx}.closed_vs_raw", ok, detail
@@ -289,11 +286,9 @@ def cmd_pairing(
     return _print_checks(out, f"pairing:{X.name}", checks())
 
 
-def cmd_fuzz_identities(
-    out, a_range: tuple[int, int], mn_bound: int, d_max: int
-) -> int:
+def cmd_fuzz_identities(args, out) -> int:
     def checks():
-        count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+        count, bad = triple_sum_sweep((args.a_min, args.a_max), args.mn_bound, args.d_max)
         yield "identity.triple_sum", bad == 0, f"tuples={count} mismatches={bad}"
 
         bad = sum(
@@ -305,7 +300,7 @@ def cmd_fuzz_identities(
         yield "identity.pochhammer_reflection", bad == 0, f"mismatches={bad}"
 
         bad = 0
-        for d in range(d_max + 1):
+        for d in range(args.d_max + 1):
             for v in range(4):
                 for i in range(d + 1):
                     for j in range(d - i + 1):
@@ -330,7 +325,7 @@ def cmd_fuzz_identities(
     return _print_checks(out, "fuzz-identities", checks())
 
 
-def cmd_catalog(out) -> int:
+def cmd_catalog(args, out) -> int:
     for name in CATALOG:
         fx = load_catalog_fixture(name)
         X = fx.manifold
@@ -363,19 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list built-in fixtures")
-    p.set_defaults(run=lambda a, out: cmd_catalog(out))
+    p.set_defaults(run=cmd_catalog)
 
     p = sub.add_parser("verify", help="run the full series comparison")
     p.add_argument("fixture", help="fixture path or catalog name")
-    p.set_defaults(run=lambda a, out: cmd_verify(_resolve_fixture(a.fixture), out))
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("moment", help="one Donaldson moment")
     p.add_argument("fixture")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(
-        run=lambda a, out: cmd_moment(_resolve_fixture(a.fixture), a.delta, a.m, out)
-    )
+    p.set_defaults(run=cmd_moment)
 
     p = sub.add_parser("pairing", help="level-one link pairings")
     p.add_argument("fixture")
@@ -384,22 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_parse_class, default=None, help="comma-separated class")
     p.add_argument("--oracle", action="store_true", help="compare closed vs raw")
     p.add_argument("--blowup-k", type=int, default=None)
-    p.set_defaults(
-        run=lambda a, out: cmd_pairing(
-            _resolve_fixture(a.fixture), a.delta, a.m, a.h, a.oracle, a.blowup_k, out
-        )
-    )
+    p.set_defaults(run=cmd_pairing)
 
     p = sub.add_parser("fuzz-identities", help="combinatorial identity sweeps")
     p.add_argument("--a-min", type=int, default=-6)
     p.add_argument("--a-max", type=int, default=10)
     p.add_argument("--mn-bound", type=int, default=6)
     p.add_argument("--d-max", type=int, default=8)
-    p.set_defaults(
-        run=lambda a, out: cmd_fuzz_identities(
-            out, (a.a_min, a.a_max), a.mn_bound, a.d_max
-        )
-    )
+    p.set_defaults(run=cmd_fuzz_identities)
 
     return parser
 

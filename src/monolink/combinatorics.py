@@ -16,20 +16,6 @@ from functools import lru_cache
 from ._value import Value
 from .errors import DivisionByZeroPochhammer, InputError
 
-__all__ = [
-    "JacobiParams",
-    "pochhammer",
-    "ext_binomial",
-    "jacobi_at_zero",
-    "jacobi_general",
-    "jacobi_via_hypergeometric",
-    "hypergeometric_terminating",
-    "segre_constant",
-    "triple_sum_lhs",
-    "triple_sum_sweep",
-    "vandermonde_check",
-]
-
 
 def pochhammer(r: int, ell: int) -> int:
     """Rising factorial (r)_ell = r(r+1)...(r+ell-1), with (r)_0 = 1."""

@@ -16,18 +16,6 @@ from typing import Iterable, Optional, Sequence
 from ._value import Value
 from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
 
-__all__ = [
-    "CohomologyClass",
-    "IntersectionForm",
-    "pair",
-    "is_characteristic",
-    "is_good",
-    "orthogonal_complement",
-    "find_hyperbolic_pair",
-    "lambda_candidates",
-    "blow_up",
-]
-
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
     """The values as ints; a float or Fraction raises InputError, never truncates."""

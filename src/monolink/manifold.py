@@ -26,25 +26,6 @@ from .lattice import (
     square,
 )
 
-__all__ = [
-    "SpincData",
-    "SpinuData",
-    "FourManifoldData",
-    "c1_squared",
-    "holomorphic_euler",
-    "c_of_X",
-    "dims_asd",
-    "dim_sw",
-    "normal_indices",
-    "level",
-    "r_and_i",
-    "degree_parity_ok",
-    "orientation_sign",
-    "blow_up_manifold",
-    "blow_up_spinc",
-    "blow_up_spinu",
-]
-
 
 def _exact_div(num: int, den: int, what: str) -> int:
     if num % den != 0:
@@ -73,9 +54,9 @@ class SpinuData(Value):
 class FourManifoldData(Value):
     """Euler characteristic, signature, intersection form, basic classes.
 
-    b1 = 0 is implicit.  chi+sigma = 0 (mod 4) always; the odd b2+ >= 3
-    requirement applies only at the Witten-verification entry points and
-    is checked there.
+    b1 = 0 is implicit.  chi+sigma = 0 (mod 4) and distinct basic classes
+    always; the odd b2+ >= 3 requirement applies only at the
+    Witten-verification entry points and is checked there.
     """
 
     name: str
@@ -90,8 +71,12 @@ class FourManifoldData(Value):
                 f"chi+sigma = {self.chi + self.sigma} must be divisible by 4"
             )
         object.__setattr__(self, "basic_classes", tuple(self.basic_classes))
+        seen = set()
         for s in self.basic_classes:
             self.form._require_rank(s.c1)
+            if s.c1.coords in seen:
+                raise InputError(f"basic class {s.c1.coords} is repeated")
+            seen.add(s.c1.coords)
             if not is_characteristic(self.form, s.c1):
                 raise InputError(
                     f"basic class {s.c1.coords} is not characteristic"

@@ -55,22 +55,6 @@ from .polyring import (
     quadratic_form,
 )
 
-__all__ = [
-    "SegreInput",
-    "PairingInput",
-    "PairingValue",
-    "segre_coefficient",
-    "s_constants",
-    "segre_coefficient_by_inversion",
-    "segre_inversion_sweep",
-    "instanton_pairing",
-    "link_pairing_closed",
-    "link_pairing_raw",
-    "b0_coefficient",
-    "blow_up_pairing_closed",
-    "blow_up_pairing_polarized",
-]
-
 
 # ---------------------------------------------------------------------------
 # Segre coefficients of the virtual normal bundle

@@ -34,16 +34,6 @@ from .lattice import CohomologyClass, IntersectionForm
 
 Scalar = Union[int, Fraction]
 
-__all__ = [
-    "TruncatedPolynomial",
-    "zero",
-    "constant",
-    "variable",
-    "linear_form",
-    "quadratic_form",
-    "Span",
-]
-
 
 def _require_bound(bound: int) -> None:
     if bound < 0:

@@ -37,16 +37,6 @@ from . import polyring
 from .pairings import _bracket_class, _bracket_walks
 from .polyring import Span, TruncatedPolynomial, _power_table, _sum_of_powers, linear_form
 
-__all__ = [
-    "WittenReport",
-    "sw_series",
-    "sw_vanishing_check",
-    "donaldson_moment",
-    "assemble_donaldson_series",
-    "verify_witten",
-    "sign_change_check",
-]
-
 
 def _half(n: int, what: str) -> int:
     if n % 2 != 0:

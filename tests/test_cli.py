@@ -77,6 +77,7 @@ def test_schema_errors():
         (lambda d: d["gram"][0].__setitem__(1, 1.5), "expected a list of integers"),
         (lambda d: d.update(basic_classes=[5]), r"\[0\]: expected an object"),
         (lambda d: d["basic_classes"][0].update(moment=True), "moment must be an integer"),
+        (lambda d: d.update(name="toy\nCHECK forged PASS"), "one printable line"),
     ):
         doc = _minimal_doc()
         edit(doc)
@@ -112,6 +113,10 @@ def test_invariant_errors():
     doc = _minimal_doc()
     doc["basic_classes"] = [{"c1": [1, 0, 0, 0, 0, 0], "sw": 1}]
     with pytest.raises(InvariantError, match="characteristic"):
+        parse_fixture(doc)
+    doc = _minimal_doc()
+    doc["basic_classes"] *= 2
+    with pytest.raises(InvariantError, match="is repeated"):
         parse_fixture(doc)
 
 
@@ -216,6 +221,48 @@ def test_cmd_verify_needs_w_and_lambda(tmp_path, edit, message):
     code, text = _run("verify", str(path))
     assert code == 2
     assert text.startswith(message) and "CHECK" not in text
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["moment", "--delta", "2", "--m", "1"]], ids=["verify", "moment"]
+)
+def test_repeated_basic_class_is_input_error(tmp_path, argv):
+    # Both sides of the check are linear in SW: a class listed twice would
+    # pass verify and double K3's moment.
+    doc = json.loads(_catalog_text("k3"))
+    doc["basic_classes"].append(doc["basic_classes"][0])
+    path = tmp_path / "k3_twice.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run(argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert text.startswith("ERROR input:") and "is repeated" in text, text
+
+
+def test_name_with_a_line_break_cannot_forge_a_check(tmp_path):
+    doc = json.loads(_catalog_text("k3"))
+    doc["name"] = "K3\nCHECK forged PASS"
+    path = tmp_path / "k3_forged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run("verify", str(path))
+    assert code == 2
+    assert text.startswith("ERROR input:") and "CHECK" not in text, text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pairing", "--delta", "2", "--m", "0"], ["moment", "--delta", "2", "--m", "0"]],
+    ids=["pairing", "moment"],
+)
+def test_even_b_plus_is_input_error_for_every_command(tmp_path, argv):
+    doc = _minimal_doc()
+    doc["gram"] = [row[2:] for row in doc["gram"][2:]]
+    doc["b_plus"] = 2
+    doc["basic_classes"] = [{"c1": [0, 0, 0, 0], "sw": 1}]
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run(argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert text.startswith("ERROR input:") and "odd" in text, text
 
 
 def _catalog_text(name):

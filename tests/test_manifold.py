@@ -3,6 +3,7 @@ import pytest
 from monolink.errors import (
     EmptySupport,
     HypothesisViolated,
+    InputError,
     NegativeDimension,
     NotDivisible,
 )
@@ -74,6 +75,14 @@ def test_basic_class_characteristic_enforced(form_h):
     odd = SpincData(CohomologyClass((1, 0)), sw=1)
     with pytest.raises(ValueError):
         FourManifoldData("bad", chi=4, sigma=0, form=form_h, basic_classes=(odd,))
+
+
+def test_repeated_basic_class_rejected(form_h):
+    # Both sides of the Witten check are linear in SW, so a class listed
+    # twice would pass verify with its invariant counted twice.
+    s = SpincData(CohomologyClass((0, 0)), sw=1)
+    with pytest.raises(InputError, match=r"basic class \(0, 0\) is repeated"):
+        FourManifoldData("twice", chi=4, sigma=0, form=form_h, basic_classes=(s, s))
 
 
 def test_dims_asd_k3(k3):
