@@ -2,7 +2,8 @@
 
 Fixture schema (JSON):
 
-    { "name": str, "chi": int, "sigma": int, "b_plus": int,
+    { "name": str (not empty, printable, no whitespace or '='),
+      "chi": int, "sigma": int, "b_plus": int,
       "gram": [[int]],
       "basic_classes": [{"c1": [int], "sw": int, "moment": optional int}],
       "w": [int] optional, "lambda": [int] optional,
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -80,79 +82,58 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _int_vector(raw, where: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
-        raise SchemaError(f"{where}: expected a list of integers")
-    return tuple(raw)
+@contextmanager
+def _invariant_error(tag: str):
+    try:
+        yield
+    except MonolinkError as exc:
+        raise InvariantError(f"{tag}: {exc}") from exc
 
 
 def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
-    """Validate a parsed JSON document into a Fixture."""
+    """Check a parsed JSON document's types; the constructors check the rest."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be an object")
     name = _expect(doc, "name", str, where)
-    if not name.isprintable() or any(ch.isspace() or ch == "=" for ch in name):
-        raise SchemaError(
-            f"{where}: field 'name' must be one printable line with no whitespace or '='"
-        )
-    chi = _expect(doc, "chi", int, where)
-    sigma = _expect(doc, "sigma", int, where)
-    b_plus = _expect(doc, "b_plus", int, where)
-    gram_raw = _expect(doc, "gram", list, where)
-    rows = [_int_vector(r, f"{where}.gram") for r in gram_raw]
-    try:
-        form = IntersectionForm(rows, b_plus=b_plus)
-        require_odd_b_plus(FourManifoldData(name, chi, sigma, form))
-    except MonolinkError as exc:
-        raise InvariantError(f"{where}: {exc}") from exc
-
+    if not name or not name.isprintable() or any(ch.isspace() or ch == "=" for ch in name):
+        rule = "must be one printable line, not empty, with no whitespace or '='"
+        raise SchemaError(f"{where}: field 'name' {rule}")
+    chi, sigma, b_plus = (_expect(doc, key, int, where) for key in ("chi", "sigma", "b_plus"))
+    gram = _expect(doc, "gram", list, where)
     classes = []
     for idx, entry in enumerate(_expect(doc, "basic_classes", list, where)):
         tag = f"{where}.basic_classes[{idx}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{tag}: expected an object")
-        c1 = _int_vector(_expect(entry, "c1", list, tag), tag)
+        c1 = _expect(entry, "c1", list, tag)
         sw = _expect(entry, "sw", int, tag)
         moment = entry.get("moment")
         if moment is not None and (isinstance(moment, bool) or not isinstance(moment, int)):
             raise SchemaError(f"{tag}: moment must be an integer")
-        classes.append(SpincData(CohomologyClass(c1), sw, moment))
+        with _invariant_error(tag):
+            classes.append(SpincData(CohomologyClass(c1), sw, moment))
 
-    try:
-        manifold = FourManifoldData(
-            name=name, chi=chi, sigma=sigma, form=form, basic_classes=tuple(classes)
-        )
-    except MonolinkError as exc:
-        raise InvariantError(f"{where}: {exc}") from exc
+    with _invariant_error(where):
+        form = IntersectionForm(gram, b_plus=b_plus)
+        require_odd_b_plus(FourManifoldData(name, chi, sigma, form))
+        manifold = FourManifoldData(name, chi, sigma, form, tuple(classes))
     for s in manifold.basic_classes:
-        try:
+        with _invariant_error(f"{where}: class {s.c1.coords}"):
             dim_sw(manifold, s)
-        except MonolinkError as exc:
-            raise InvariantError(f"{where}: class {s.c1.coords}: {exc}") from exc
 
-    def opt_class(key: str) -> Optional[CohomologyClass]:
-        if key not in doc or doc[key] is None:
-            return None
-        vec = _int_vector(doc[key], f"{where}.{key}")
-        if len(vec) != form.rank:
-            raise InvariantError(f"{where}.{key}: class length != form rank")
-        return CohomologyClass(vec)
-
-    attributes = {}
     raw_attr = _expect(doc, "attributes", dict, where)
-    for key in ("simple_type", "abundant", "effective"):
-        if key not in raw_attr or not isinstance(raw_attr[key], bool):
+    attributes = {key: raw_attr.get(key) for key in ("simple_type", "abundant", "effective")}
+    for key, value in attributes.items():
+        if not isinstance(value, bool):
             raise SchemaError(f"{where}.attributes: missing boolean {key!r}")
-        attributes[key] = raw_attr[key]
 
-    return Fixture(
-        manifold=manifold,
-        w=opt_class("w"),
-        lam=opt_class("lambda"),
-        attributes=attributes,
-    )
+    given = {}
+    for key in ("w", "lambda"):
+        if doc.get(key) is not None:
+            with _invariant_error(f"{where}.{key}"):
+                given[key] = CohomologyClass(doc[key])
+                form._require_rank(given[key])
+    return Fixture(manifold, given.get("w"), given.get("lambda"), attributes)
 
 
 def load_fixture(path: str | Path) -> Fixture:

@@ -18,12 +18,14 @@ from .errors import DimensionMismatch, InputError, NotDivisible, SearchExhausted
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as ints; a float or Fraction raises InputError, never truncates."""
-    values = tuple(values)
+    """The values as ints; a non-iterable or a bool or float entry raises InputError."""
     try:
-        return tuple(map(index, values))
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(index, values))
     except TypeError:
-        raise InputError(f"{what} must be integers, got {values}") from None
+        pass
+    raise InputError(f"{what} must be integers, got {values}")
 
 
 class CohomologyClass(Value):

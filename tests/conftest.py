@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import settings
@@ -87,6 +88,54 @@ def blow_up_fixture(fx: Fixture, n: int) -> Fixture:
         w = CohomologyClass(w.coords + (1,))
         lam = CohomologyClass(lam.coords + (0,))
     return Fixture(X, w, lam, fx.attributes)
+
+
+# The edges of the E8 Dynkin diagram: a chain of seven nodes, the eighth on
+# the third.
+E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7))
+
+
+def elliptic_fixture(n: int) -> Fixture:
+    """The elliptic surface E(n), n >= 2, on its full form of rank 12n - 2.
+
+    chi = 12n and sigma = -8n, so c = n.  The basic classes are (n-2-2k)F for
+    k = 0..n-2, with SW value (-1)^k C(n-2, k), F the fiber class.
+    - Odd n: the form (2n-1)<1> + (10n-1)<-1>.  F is (3^n, 1^(n-1)) on the
+      positive part and 1 on every negative coordinate; lam = 2(f1 - f2 + ...)
+      over the first n-1 negative basis vectors, and w = lam + F.
+    - Even n: the form (2n-1)H + n(-E8), with F = e in the first H;
+      lam = e' + (2-2n) f' in the second H, and w = lam.
+    """
+    rank = 12 * n - 2
+    gram = [[0] * rank for _ in range(rank)]
+    if n % 2:
+        pos = 2 * n - 1
+        for i in range(rank):
+            gram[i][i] = 1 if i < pos else -1
+        F = CohomologyClass((3,) * n + (1,) * (rank - n))
+        lam = CohomologyClass(
+            2 * (-1) ** (i - pos) if pos <= i < pos + n - 1 else 0 for i in range(rank)
+        )
+        w = lam + F
+    else:
+        hyperbolic = 2 * (2 * n - 1)
+        for i, row in enumerate(hyperbolic_gram(2 * n - 1)):
+            gram[i][:hyperbolic] = row
+        for start in range(hyperbolic, rank, 8):
+            for i in range(start, start + 8):
+                gram[i][i] = -2
+            for i, j in E8_EDGES:
+                gram[start + i][start + j] = gram[start + j][start + i] = 1
+        e = CohomologyClass.basis_vector
+        F = e(0, rank)
+        lam = e(2, rank) + (2 - 2 * n) * e(3, rank)
+        w = lam
+    classes = tuple(
+        SpincData((n - 2 - 2 * k) * F, sw=(-1) ** k * comb(n - 2, k)) for k in range(n - 1)
+    )
+    X = FourManifoldData(f"E({n})", 12 * n, -8 * n, IntersectionForm(gram), classes)
+    attributes = {"simple_type": True, "abundant": True, "effective": True}
+    return Fixture(X, w, lam, attributes)
 
 
 @pytest.fixture(scope="session")

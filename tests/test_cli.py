@@ -74,12 +74,12 @@ def test_schema_errors():
     for edit, message in (
         (lambda d: d.update(chi=True), "'chi' must be an integer"),
         (lambda d: d.update(name=5), "'name' has wrong type"),
-        (lambda d: d["gram"][0].__setitem__(1, 1.5), "expected a list of integers"),
         (lambda d: d.update(basic_classes=[5]), r"\[0\]: expected an object"),
         (lambda d: d["basic_classes"][0].update(moment=True), "moment must be an integer"),
         (lambda d: d.update(name="toy\nCHECK forged PASS"), "one printable line"),
         (lambda d: d.update(name="toy total=5"), "no whitespace or '='"),
         (lambda d: d.update(name="toy=5"), "no whitespace or '='"),
+        (lambda d: d.update(name=""), "not empty"),
     ):
         doc = _minimal_doc()
         edit(doc)
@@ -90,6 +90,10 @@ def test_schema_errors():
 
 
 def test_invariant_errors():
+    doc = _minimal_doc()
+    doc["gram"][0][1] = 1.5
+    with pytest.raises(InvariantError, match=r"fixture: gram entries must be integers"):
+        parse_fixture(doc)
     doc = _minimal_doc()
     doc["basic_classes"] = [{"c1": [0, 0], "sw": 1}]
     with pytest.raises(InvariantError, match="class length"):
@@ -266,6 +270,35 @@ def test_name_with_a_line_break_cannot_forge_a_check(tmp_path):
     code, text = _run("verify", str(path))
     assert code == 2
     assert text.startswith("ERROR input:") and "CHECK" not in text, text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["gram"][0].__setitem__(1, True), ": gram entries must be integers"),
+        (lambda d: d["gram"].__setitem__(5, 5), ": gram entries must be integers, got 5"),
+        (
+            lambda d: d["basic_classes"][0]["c1"].__setitem__(0, True),
+            ".basic_classes[0]: class coordinates must be integers",
+        ),
+        (lambda d: d["w"].__setitem__(0, True), ".w: class coordinates must be integers"),
+        (lambda d: d.update({"lambda": 7}), ".lambda: class coordinates must be integers"),
+        (lambda d: d.update(name=""), "field 'name' must be one printable line, not empty"),
+    ],
+    ids=["true-in-gram", "number-as-gram-row", "true-in-c1", "true-in-w", "number-as-lambda",
+         "empty-name"],
+)
+def test_verify_rejects_a_non_integer_vector_or_an_empty_name(tmp_path, edit, message):
+    # A JSON true is not the integer 1: the lattice constructors reject it, and
+    # the error names the field it came from.
+    doc = json.loads(_catalog_text("k3"))
+    edit(doc)
+    path = tmp_path / "k3_edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run("verify", str(path))
+    assert code == 2
+    assert text.startswith(f"ERROR input: {path}") and message in text, text
+    assert "CHECK" not in text, text
 
 
 def test_catalog_and_blow_up_names_are_valid():

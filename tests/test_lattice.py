@@ -66,6 +66,18 @@ def test_non_integral_entries_raise_instead_of_truncating():
     assert IntersectionForm([[1]]).gram == ((1,),)
 
 
+@pytest.mark.parametrize("coords", [(True, 0), (0, False), 7], ids=repr)
+def test_bool_or_non_iterable_class_raises_instead_of_coercing(coords):
+    with pytest.raises(InputError, match="class coordinates must be integers"):
+        CohomologyClass(coords)
+
+
+@pytest.mark.parametrize("gram", [[[True, 0], [0, -1]], [5, 6]], ids=repr)
+def test_bool_entry_or_non_iterable_row_raises_instead_of_coercing(gram):
+    with pytest.raises(InputError, match="gram entries must be integers"):
+        IntersectionForm(gram)
+
+
 def test_signature(form_h, k3):
     assert form_h.b_plus == 1 and form_h.b_minus == 1
     assert k3.manifold.form.b_plus == 3

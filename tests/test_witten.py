@@ -19,7 +19,7 @@ from monolink.witten import (
     verify_witten,
 )
 
-from conftest import blow_up_fixture
+from conftest import blow_up_fixture, elliptic_fixture
 from test_cli_golden import broken
 
 
@@ -464,3 +464,20 @@ def test_verify_reduces_each_class_once_and_never_expands(count_calls, e3, e5):
             X.name,
             calls,
         )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_verify_passes_on_the_honest_elliptic_surface(n):
+    fx = elliptic_fixture(n)
+    assert fx.manifold.b2 == 12 * n - 2 and c_of_X(fx.manifold) == n
+    assert verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes).passed
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 1)])
+def test_verify_fails_when_one_elliptic_sw_value_is_raised_by_one(n, k):
+    fx = elliptic_fixture(n)
+    X = fx.manifold
+    classes = list(X.basic_classes)
+    classes[k] = SpincData(classes[k].c1, classes[k].sw + 1)
+    raised = FourManifoldData(X.name, X.chi, X.sigma, X.form, tuple(classes))
+    assert not verify_witten(raised, fx.w, fx.lam, attributes=fx.attributes).passed
