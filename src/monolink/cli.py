@@ -6,7 +6,7 @@ Fixture schema (JSON):
       "chi": int, "sigma": int, "b_plus": int,
       "gram": [[int]],
       "basic_classes": [{"c1": [int], "sw": int, "moment": optional int}],
-      "w": [int] optional, "lambda": [int] optional,
+      "w": [int], "lambda": [int],
       "attributes": {"simple_type": bool, "abundant": bool, "effective": bool} }
 
 Exit codes: 0 all checks pass, 1 a mathematical comparison failed,
@@ -66,17 +66,15 @@ class Fixture(Value):
     """A validated manifold fixture plus its declared attributes."""
 
     manifold: FourManifoldData
-    w: Optional[CohomologyClass]
-    lam: Optional[CohomologyClass]
+    w: CohomologyClass
+    lam: CohomologyClass
     attributes: dict[str, bool]
 
 
 def _expect(doc: dict, key: str, kind, where: str):
-    if key not in doc:
+    value = doc.get(key)
+    if value is None:
         raise SchemaError(f"{where}: missing field {key!r}")
-    value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise SchemaError(f"{where}: field {key!r} must be an integer")
     if not isinstance(value, kind):
         raise SchemaError(f"{where}: field {key!r} has wrong type")
     return value
@@ -91,27 +89,26 @@ def _invariant_error(tag: str):
 
 
 def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
-    """Check a parsed JSON document's types; the constructors check the rest."""
+    """Check a parsed JSON document's fields and containers; the constructors
+    check every value in them."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be an object")
     name = _expect(doc, "name", str, where)
     if not name or not name.isprintable() or any(ch.isspace() or ch == "=" for ch in name):
         rule = "must be one printable line, not empty, with no whitespace or '='"
         raise SchemaError(f"{where}: field 'name' {rule}")
-    chi, sigma, b_plus = (_expect(doc, key, int, where) for key in ("chi", "sigma", "b_plus"))
+    chi, sigma, b_plus, w, lam = (
+        _expect(doc, key, object, where) for key in ("chi", "sigma", "b_plus", "w", "lambda")
+    )
     gram = _expect(doc, "gram", list, where)
     classes = []
     for idx, entry in enumerate(_expect(doc, "basic_classes", list, where)):
         tag = f"{where}.basic_classes[{idx}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{tag}: expected an object")
-        c1 = _expect(entry, "c1", list, tag)
-        sw = _expect(entry, "sw", int, tag)
-        moment = entry.get("moment")
-        if moment is not None and (isinstance(moment, bool) or not isinstance(moment, int)):
-            raise SchemaError(f"{tag}: moment must be an integer")
+        c1, sw = _expect(entry, "c1", list, tag), _expect(entry, "sw", object, tag)
         with _invariant_error(tag):
-            classes.append(SpincData(CohomologyClass(c1), sw, moment))
+            classes.append(SpincData(CohomologyClass(c1), sw, entry.get("moment")))
 
     with _invariant_error(where):
         form = IntersectionForm(gram, b_plus=b_plus)
@@ -127,13 +124,12 @@ def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
         if not isinstance(value, bool):
             raise SchemaError(f"{where}.attributes: missing boolean {key!r}")
 
-    given = {}
-    for key in ("w", "lambda"):
-        if doc.get(key) is not None:
-            with _invariant_error(f"{where}.{key}"):
-                given[key] = CohomologyClass(doc[key])
-                form._require_rank(given[key])
-    return Fixture(manifold, given.get("w"), given.get("lambda"), attributes)
+    vectors = []
+    for key, value in (("w", w), ("lambda", lam)):
+        with _invariant_error(f"{where}.{key}"):
+            vectors.append(CohomologyClass(value))
+            form._require_rank(vectors[-1])
+    return Fixture(manifold, *vectors, attributes)
 
 
 def load_fixture(path: str | Path) -> Fixture:
@@ -188,30 +184,21 @@ def _print_checks(out, title: str, checks) -> int:
     return 1 if failed else 0
 
 
-def _require_w_lambda(fx: Fixture) -> tuple[CohomologyClass, CohomologyClass]:
-    if fx.w is None or fx.lam is None:
-        raise HypothesisViolated(
-            "fixture must supply both 'w' and 'lambda' for this command"
-        )
-    return fx.w, fx.lam
-
-
 def cmd_verify(args, out) -> int:
     fx = _resolve_fixture(args.fixture)
-    w, lam = _require_w_lambda(fx)
-    report = verify_witten(fx.manifold, w, lam, attributes=fx.attributes)
+    report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
+    name = fx.manifold.name
     print(
-        f"REPORT manifold={report.manifold} c={report.c} "
-        f"w={list(report.w.coords)} lambda={list(report.lam.coords)}",
+        f"REPORT manifold={name} c={report.c} "
+        f"w={list(fx.w.coords)} lambda={list(fx.lam.coords)}",
         file=out,
     )
-    return _print_checks(out, f"verify:{report.manifold}", report.check_lines())
+    return _print_checks(out, f"verify:{name}", report.check_lines())
 
 
 def cmd_moment(args, out) -> int:
     fx = _resolve_fixture(args.fixture)
-    w, lam = _require_w_lambda(fx)
-    poly = donaldson_moment(fx.manifold, w, lam, args.delta, args.m)
+    poly = donaldson_moment(fx.manifold, fx.w, fx.lam, args.delta, args.m)
     print(
         f"MOMENT manifold={fx.manifold.name} delta={args.delta} m={args.m} "
         f"value={poly.render()}",
@@ -222,8 +209,7 @@ def cmd_moment(args, out) -> int:
 
 def _pairing_inputs(fx: Fixture, delta: int, m: int, h: CohomologyClass):
     """One level-one pairing input per basic class, eta fixed by the dims."""
-    w, lam = _require_w_lambda(fx)
-    X = fx.manifold
+    X, w, lam = fx.manifold, fx.w, fx.lam
     for s in X.basic_classes:
         p1 = square(X.form, s.c1 - lam) - 4
         t_prime = SpinuData(c1=lam, p1=p1, w=w)
@@ -282,15 +268,12 @@ def cmd_fuzz_identities(args, out) -> int:
         )
         yield "identity.pochhammer_reflection", bad == 0, f"mismatches={bad}"
 
-        bad = 0
-        for d in range(args.d_max + 1):
-            for v in range(4):
-                for i in range(d + 1):
-                    for j in range(d - i + 1):
-                        lhs = ext_binomial(d + 3 - v - i - j, d - i - j)
-                        rhs = (-1) ** (d - i - j) * ext_binomial(v - 4, d - i - j)
-                        if lhs != rhs:
-                            bad += 1
+        bad = sum(
+            1
+            for r in range(args.d_max + 1)
+            for v in range(4)
+            if ext_binomial(r + 3 - v, r) != (-1) ** r * ext_binomial(v - 4, r)
+        )
         yield "identity.binomial_reversal", bad == 0, f"mismatches={bad}"
 
         bad = sum(

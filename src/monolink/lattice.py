@@ -147,7 +147,10 @@ class IntersectionForm(Value):
     b_plus: int
 
     def __init__(self, gram: Sequence[Sequence[int]], b_plus: Optional[int] = None) -> None:
-        rows = tuple(_integers(row, "gram entries") for row in gram)
+        try:
+            rows = tuple(_integers(row, "gram entries") for row in gram)
+        except TypeError:  # gram itself is not iterable
+            raise InputError(f"gram entries must be integers, got {gram}") from None
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("gram matrix must be square")
@@ -158,7 +161,7 @@ class IntersectionForm(Value):
         pos, neg, zero = _signature_counts(rows)
         if zero != 0:
             raise InputError("gram matrix is degenerate")
-        if b_plus is not None and b_plus != pos:
+        if b_plus is not None and _integers((b_plus,), "b_plus") != (pos,):
             raise InputError(
                 f"declared b_plus={b_plus} but form has {pos} positive eigenvalues"
             )

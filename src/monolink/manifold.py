@@ -21,6 +21,7 @@ from .errors import (
 from .lattice import (
     CohomologyClass,
     IntersectionForm,
+    _integers,
     blow_up,
     is_characteristic,
     square,
@@ -41,6 +42,10 @@ class SpincData(Value):
     sw: int
     moment: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        moment = () if self.moment is None else (self.moment,)
+        _integers((self.sw, *moment), "sw and moment")
+
 
 class SpinuData(Value):
     """A spin-u structure: c1, first Pontrjagin number, and an integral
@@ -54,9 +59,9 @@ class SpinuData(Value):
 class FourManifoldData(Value):
     """Euler characteristic, signature, intersection form, basic classes.
 
-    b1 = 0 is implicit.  chi+sigma = 0 (mod 4) and distinct basic classes
-    always; the odd b2+ >= 3 requirement applies only at the
-    Witten-verification entry points and is checked there.
+    b1 = 0 is implicit.  Integer chi and sigma with chi+sigma = 0 (mod 4) and
+    distinct basic classes always; the odd b2+ >= 3 requirement applies only
+    at the Witten-verification entry points and is checked there.
     """
 
     name: str
@@ -66,6 +71,7 @@ class FourManifoldData(Value):
     basic_classes: tuple[SpincData, ...] = ()
 
     def __post_init__(self) -> None:
+        _integers((self.chi, self.sigma), "chi and sigma")
         if (self.chi + self.sigma) % 4 != 0:
             raise InputError(
                 f"chi+sigma = {self.chi + self.sigma} must be divisible by 4"

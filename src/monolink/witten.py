@@ -316,9 +316,6 @@ class WittenReport(Value):
     degree row's detail is its two sides in the reduced ring of `span`;
     every other detail is its final text."""
 
-    manifold: str
-    w: CohomologyClass
-    lam: CohomologyClass
     c: int
     span: Span
     checks: tuple[tuple[str, bool, object], ...]
@@ -411,7 +408,7 @@ def verify_witten(
         expected, actual = d < c - 2 or (d - c) % 2 != 0, part.is_zero()
         detail = f"expected_zero={expected} actual_zero={actual}"
         checks.append((f"vanishing.d{d}", actual or not expected, detail))
-    return WittenReport(X.name, w, lam, c, span, tuple(checks))
+    return WittenReport(c, span, tuple(checks))
 
 
 def sign_change_check(

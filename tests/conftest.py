@@ -95,11 +95,19 @@ def blow_up_fixture(fx: Fixture, n: int) -> Fixture:
 E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7))
 
 
-def elliptic_fixture(n: int) -> Fixture:
+UNKNOT = {0: 1}
+TREFOIL = {1: 1, 0: -1, -1: 1}
+FIGURE_EIGHT = {1: -1, 0: 3, -1: -1}
+
+
+def elliptic_fixture(n: int, alexander: dict[int, int] = UNKNOT) -> Fixture:
     """The elliptic surface E(n), n >= 2, on its full form of rank 12n - 2.
 
     chi = 12n and sigma = -8n, so c = n.  The basic classes are (n-2-2k)F for
-    k = 0..n-2, with SW value (-1)^k C(n-2, k), F the fiber class.
+    k = 0..n-2, with SW value (-1)^k C(n-2, k), F the fiber class: the SW
+    series is (t - 1/t)^(n-2) in t = e^F.  Given a knot's symmetric Alexander
+    polynomial {power: coefficient}, this is instead the knot surgery E(n)_K,
+    with E(n)'s form, w and lam and the SW series (t - 1/t)^(n-2) Delta(t^2).
     - Odd n: the form (2n-1)<1> + (10n-1)<-1>.  F is (3^n, 1^(n-1)) on the
       positive part and 1 on every negative coordinate; lam = 2(f1 - f2 + ...)
       over the first n-1 negative basis vectors, and w = lam + F.
@@ -130,9 +138,11 @@ def elliptic_fixture(n: int) -> Fixture:
         F = e(0, rank)
         lam = e(2, rank) + (2 - 2 * n) * e(3, rank)
         w = lam
-    classes = tuple(
-        SpincData((n - 2 - 2 * k) * F, sw=(-1) ** k * comb(n - 2, k)) for k in range(n - 1)
-    )
+    sw = Counter()
+    for k in range(n - 1):
+        for power, a in alexander.items():
+            sw[n - 2 - 2 * k + 2 * power] += (-1) ** k * comb(n - 2, k) * a
+    classes = tuple(SpincData(m * F, sw=v) for m, v in sorted(sw.items(), reverse=True) if v)
     X = FourManifoldData(f"E({n})", 12 * n, -8 * n, IntersectionForm(gram), classes)
     attributes = {"simple_type": True, "abundant": True, "effective": True}
     return Fixture(X, w, lam, attributes)

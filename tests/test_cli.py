@@ -36,6 +36,8 @@ def _minimal_doc():
             [0, 0, 0, 0, 1, 0],
         ],
         "basic_classes": [{"c1": [0, 0, 0, 0, 0, 0], "sw": 1}],
+        "w": [0, 0, 1, 0, 0, 0],
+        "lambda": [0, 0, 1, 0, 0, 0],
         "attributes": {"simple_type": True, "abundant": True, "effective": True},
     }
 
@@ -72,10 +74,10 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         parse_fixture(doc)
     for edit, message in (
-        (lambda d: d.update(chi=True), "'chi' must be an integer"),
         (lambda d: d.update(name=5), "'name' has wrong type"),
+        # A null b_plus is not an undeclared one: the form would skip its check.
+        (lambda d: d.update(b_plus=None), "missing field 'b_plus'"),
         (lambda d: d.update(basic_classes=[5]), r"\[0\]: expected an object"),
-        (lambda d: d["basic_classes"][0].update(moment=True), "moment must be an integer"),
         (lambda d: d.update(name="toy\nCHECK forged PASS"), "one printable line"),
         (lambda d: d.update(name="toy total=5"), "no whitespace or '='"),
         (lambda d: d.update(name="toy=5"), "no whitespace or '='"),
@@ -123,6 +125,14 @@ def test_invariant_errors():
     doc = _minimal_doc()
     doc["basic_classes"] *= 2
     with pytest.raises(InvariantError, match="is repeated"):
+        parse_fixture(doc)
+    doc = _minimal_doc()
+    doc["chi"] = True
+    with pytest.raises(InvariantError, match=r"fixture: chi and sigma must be integers"):
+        parse_fixture(doc)
+    doc = _minimal_doc()
+    doc["basic_classes"][0]["moment"] = True
+    with pytest.raises(InvariantError, match=r"\[0\]: sw and moment must be integers"):
         parse_fixture(doc)
 
 
@@ -230,9 +240,9 @@ def test_cmd_verify_mathematical_failure(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d.pop("lambda"), "ERROR HypothesisViolated: fixture must supply both"),
-        # "w": null reads as an absent class, not as a malformed vector.
-        (lambda d: d.update(w=None), "ERROR HypothesisViolated: fixture must supply both"),
+        (lambda d: d.pop("lambda"), "ERROR input: "),
+        # "w": null reads as an absent field, not as a malformed vector.
+        (lambda d: d.update(w=None), "ERROR input: "),
         (lambda d: d.update(w=d["w"][:-1]), "ERROR input: "),
     ],
     ids=["no-lambda", "null-w", "short-w"],
@@ -284,9 +294,14 @@ def test_name_with_a_line_break_cannot_forge_a_check(tmp_path):
         (lambda d: d["w"].__setitem__(0, True), ".w: class coordinates must be integers"),
         (lambda d: d.update({"lambda": 7}), ".lambda: class coordinates must be integers"),
         (lambda d: d.update(name=""), "field 'name' must be one printable line, not empty"),
+        (lambda d: d.update(chi=True), ": chi and sigma must be integers, got (True, -16)"),
+        (
+            lambda d: d["basic_classes"][0].update(moment=1.5),
+            ".basic_classes[0]: sw and moment must be integers, got (1, 1.5)",
+        ),
     ],
     ids=["true-in-gram", "number-as-gram-row", "true-in-c1", "true-in-w", "number-as-lambda",
-         "empty-name"],
+         "empty-name", "true-as-chi", "fraction-as-moment"],
 )
 def test_verify_rejects_a_non_integer_vector_or_an_empty_name(tmp_path, edit, message):
     # A JSON true is not the integer 1: the lattice constructors reject it, and
@@ -299,6 +314,21 @@ def test_verify_rejects_a_non_integer_vector_or_an_empty_name(tmp_path, edit, me
     assert code == 2
     assert text.startswith(f"ERROR input: {path}") and message in text, text
     assert "CHECK" not in text, text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["moment", "--delta", "2", "--m", "0"], ["pairing", "--delta", "2", "--m", "0"]],
+    ids=["verify", "moment", "pairing"],
+)
+def test_every_fixture_command_needs_lambda(tmp_path, argv):
+    doc = json.loads(_catalog_text("k3"))
+    del doc["lambda"]
+    path = tmp_path / "k3_no_lambda.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run(argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert text == f"ERROR input: {path}: missing field 'lambda'\n", text
 
 
 def test_catalog_and_blow_up_names_are_valid():

@@ -72,10 +72,16 @@ def test_bool_or_non_iterable_class_raises_instead_of_coercing(coords):
         CohomologyClass(coords)
 
 
-@pytest.mark.parametrize("gram", [[[True, 0], [0, -1]], [5, 6]], ids=repr)
+@pytest.mark.parametrize("gram", [[[True, 0], [0, -1]], [5, 6], 7, None], ids=repr)
 def test_bool_entry_or_non_iterable_row_raises_instead_of_coercing(gram):
     with pytest.raises(InputError, match="gram entries must be integers"):
         IntersectionForm(gram)
+
+
+@pytest.mark.parametrize("b_plus", [True, 1.0], ids=repr)
+def test_bool_or_non_integer_b_plus_raises_instead_of_coercing(b_plus):
+    with pytest.raises(InputError, match="b_plus must be integers"):
+        IntersectionForm([[1]], b_plus=b_plus)
 
 
 def test_signature(form_h, k3):

@@ -71,6 +71,21 @@ def test_chi_sigma_congruence_enforced():
         FourManifoldData("bad", chi=5, sigma=0, form=IntersectionForm([[1]]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda form: FourManifoldData("x", True, 0, form), "chi and sigma"),
+        (lambda form: FourManifoldData("x", 2.0, 2, form), "chi and sigma"),
+        (lambda form: SpincData(CohomologyClass((0, 0)), sw=True), "sw and moment"),
+        (lambda form: SpincData(CohomologyClass((0, 0)), 1, moment=2.5), "sw and moment"),
+    ],
+    ids=["true-as-chi", "float-as-chi", "true-as-sw", "fraction-as-moment"],
+)
+def test_bool_or_non_integer_scalar_raises_instead_of_coercing(form_h, build, message):
+    with pytest.raises(InputError, match=f"{message} must be integers"):
+        build(form_h)
+
+
 def test_basic_class_characteristic_enforced(form_h):
     odd = SpincData(CohomologyClass((1, 0)), sw=1)
     with pytest.raises(ValueError):

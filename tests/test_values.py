@@ -64,11 +64,7 @@ CASES = {
         ("X", "t_prime", "s", "delta", "m", "eta", "h"), (), _k3_pairing_fields()
     ),
     PairingValue: (("polynomial", "at_h"), (P, Fraction(1, 2)), {}),
-    WittenReport: (
-        ("manifold", "w", "lam", "c", "span", "checks"),
-        ("h", C, C, 2),
-        {"span": SPAN, "checks": CHECKS},
-    ),
+    WittenReport: (("c", "span", "checks"), (2,), {"span": SPAN, "checks": CHECKS}),
     Fixture: (("manifold", "w", "lam", "attributes"), (X, C, None), {"attributes": {}}),
 }
 IDS = [cls.__name__ for cls in CASES]

@@ -19,7 +19,7 @@ from monolink.witten import (
     verify_witten,
 )
 
-from conftest import blow_up_fixture, elliptic_fixture
+from conftest import FIGURE_EIGHT, TREFOIL, blow_up_fixture, elliptic_fixture
 from test_cli_golden import broken
 
 
@@ -466,11 +466,16 @@ def test_verify_reduces_each_class_once_and_never_expands(count_calls, e3, e5):
         )
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_verify_passes_on_the_honest_elliptic_surface(n):
-    fx = elliptic_fixture(n)
-    assert fx.manifold.b2 == 12 * n - 2 and c_of_X(fx.manifold) == n
-    assert verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes).passed
+@pytest.mark.parametrize(
+    "n, blow_ups",
+    [(n, 0) for n in range(2, 13)] + [(n, 1) for n in range(2, 9)],
+    ids=[str(n) for n in range(2, 13)] + [f"{n}-blown-up" for n in range(2, 9)],
+)
+def test_verify_passes_on_the_honest_elliptic_surface(n, blow_ups):
+    fx = blow_up_fixture(elliptic_fixture(n), blow_ups)
+    X = fx.manifold
+    assert X.b2 == 12 * n - 2 + blow_ups and c_of_X(X) == n + blow_ups
+    assert verify_witten(X, fx.w, fx.lam, attributes=fx.attributes).passed
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(n - 1)])
@@ -481,3 +486,27 @@ def test_verify_fails_when_one_elliptic_sw_value_is_raised_by_one(n, k):
     classes[k] = SpincData(classes[k].c1, classes[k].sw + 1)
     raised = FourManifoldData(X.name, X.chi, X.sigma, X.form, tuple(classes))
     assert not verify_witten(raised, fx.w, fx.lam, attributes=fx.attributes).passed
+
+
+KNOTS = {"trefoil": TREFOIL, "figure-eight": FIGURE_EIGHT}
+
+
+@pytest.mark.parametrize("knot", KNOTS)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_verify_passes_on_knot_surgery(n, knot):
+    fx = elliptic_fixture(n, KNOTS[knot])
+    X = fx.manifold
+    assert len(X.basic_classes) == n + 1  # (t - 1/t)^(n-2) Delta(t^2) spans t^-n .. t^n
+    assert verify_witten(X, fx.w, fx.lam, attributes=fx.attributes).passed
+
+
+@pytest.mark.parametrize("knot", KNOTS)
+@pytest.mark.parametrize("n", range(3, 7))
+def test_verify_fails_when_one_knot_surgery_sw_value_is_raised_by_one(n, knot):
+    fx = elliptic_fixture(n, KNOTS[knot])
+    X = fx.manifold
+    for k, s in enumerate(X.basic_classes):
+        classes = list(X.basic_classes)
+        classes[k] = SpincData(s.c1, s.sw + 1)
+        raised = FourManifoldData(X.name, X.chi, X.sigma, X.form, tuple(classes))
+        assert not verify_witten(raised, fx.w, fx.lam, attributes=fx.attributes).passed, k
