@@ -45,14 +45,6 @@ class NonzeroConstantTerm(MonolinkError):
     """exp of a truncated polynomial requires a zero constant term."""
 
 
-class NonIntegralExponent(MonolinkError):
-    """A power-of-two exponent in a closed formula is not an integer."""
-
-
-class NonIntegralSign(MonolinkError):
-    """A sign exponent of the form (w^2 + c1.w)/2 is not an integer."""
-
-
 class HypothesisViolated(MonolinkError):
     """A formula was invoked outside the hypotheses under which it holds."""
 

@@ -18,14 +18,13 @@ from .errors import (
     BoundTooHigh,
     HypothesisViolated,
     InputError,
-    NonIntegralExponent,
-    NonIntegralSign,
     NotCongruent,
 )
 from .lattice import CohomologyClass, is_characteristic, pair, square
 from .manifold import (
     FourManifoldData,
     RAndIReport,
+    _exact_div,
     c1_squared,
     c_of_X,
     dim_sw,
@@ -36,12 +35,6 @@ from .manifold import (
 from . import polyring
 from .pairings import _bracket_class, _bracket_walks
 from .polyring import Span, TruncatedPolynomial, _power_table, _sum_of_powers, linear_form
-
-
-def _half(n: int, what: str) -> int:
-    if n % 2 != 0:
-        raise NonIntegralSign(f"{what} = {n}/2 is not an integer")
-    return n // 2
 
 
 def _sign_pow(exponent: int) -> int:
@@ -62,7 +55,7 @@ def _signed_support(X: FourManifoldData, w: CohomologyClass) -> tuple[int, list]
     """(w^2, [(s, (-1)^((w^2 + c1(s).w)/2) SW(s)) for every s with SW(s) != 0])."""
     w2 = square(X.form, w)
     return w2, [
-        (s, _sign_pow(_half(w2 + pair(X.form, s.c1, w), "w^2 + c1.w")) * s.sw)
+        (s, _sign_pow(_exact_div(w2 + pair(X.form, s.c1, w), 2, "w^2 + c1.w")) * s.sw)
         for s in X.support()
     ]
 
@@ -102,8 +95,6 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
     reads the same sums off the degree-d parts of sw_series; this direct
     power sum is their oracle.
     """
-    if d < 0:
-        raise InputError("d must be non-negative")
     total = polyring.zero(X.form.rank, d)
     for s, signed_sw in _signed_support(X, v)[1]:
         total = total + signed_sw * linear_form(s.c1, X.form, d) ** d
@@ -142,44 +133,37 @@ def donaldson_moment(
 
 def _level_one_classes(
     X: FourManifoldData, w2: int, info: RAndIReport, classes: list, delta: int
-) -> list:
-    """Checks the level-one formula's hypotheses at delta and returns [(r_s,
-    num, table, data)] for the classes there, table from `classes`: num =
-    (-1)^((w^2 + c1.(w-lam))/2 + d) SW(s), d = d_s/2, data the `_BracketClass`
-    (r_s = delta-4) or 2^d P^(a-1,b)_d(0) (r_s = delta), a = (i(lam) -
-    delta)/4 - d, b = -d - chi_h.  A moment table derives it once, with no
-    pairing: beta = c1 - lam has beta^2 = -r_s - 3 chi_h, c1^2 = 4 d_s +
-    c1^2(X), and `info` (r_and_i over the support) gives r_s and lam^2."""
+) -> tuple[int, int, list]:
+    """Checks the level-one formula's hypotheses at delta and returns (n_a,
+    (sigma - w^2)/2, [(r_s, num, table, data)] over the classes there), n_a =
+    (i(lam) - delta)/4, table from `classes`, num = (-1)^((w^2 + c1.(w-lam))/2
+    + d) SW(s), d = d_s/2, data the `_BracketClass` (r_s = delta-4) or 2^d
+    P^(a-1,b)_d(0) (r_s = delta), a = n_a - d, b = -d - chi_h.  A moment table
+    derives it once, with no pairing: beta = c1 - lam has beta^2 = -r_s -
+    3 chi_h, c1^2 = 4 d_s + c1^2(X), and `info` (r_and_i) gives r_s and lam^2."""
     if delta >= info.i_value:
         raise HypothesisViolated(
             f"delta = {delta} must stay below i(lam) = {info.i_value}"
         )
-    if (info.i_value - delta) % 4 != 0:
-        raise NonIntegralExponent(
-            f"i(lam) - delta = {info.i_value - delta} not divisible by 4"
-        )
-    if (X.sigma - w2) % 2 != 0:
-        raise NonIntegralExponent(f"(sigma - w^2)/2 not integral for w^2 = {w2}")
-    n_a, chi_h = (info.i_value - delta) // 4, holomorphic_euler(X)
+    n_a = _exact_div(info.i_value - delta, 4, "i(lam) - delta")
+    half, chi_h = _exact_div(X.sigma - w2, 2, "sigma - w^2"), holomorphic_euler(X)
     lam2 = info.i_value - c_of_X(X) - X.chi - X.sigma
     out = []
     for (s, signed_sw, bf), r_s in zip(classes, info.per_class):
         if r_s not in (delta, delta - 4):
             continue
         d_s = dim_sw(X, s)
-        if d_s % 2 != 0:
-            raise HypothesisViolated(f"odd d_s = {d_s} for {s.c1.coords}")
-        d, beta2 = d_s // 2, -r_s - 3 * chi_h
-        c1_lam = (4 * d_s + c1_squared(X) + lam2 - beta2) // 2
+        d, beta2 = _exact_div(d_s, 2, "d_s"), -r_s - 3 * chi_h
+        c1_lam = _exact_div(4 * d_s + c1_squared(X) + lam2 - beta2, 2, "2 c1.lam")
         # signed_sw carries (-1)^((w^2 + c1.w)/2), and c1.w - c1.lam = c1.(w-lam).
-        num = _sign_pow(_half(c1_lam, "c1.lam") + d) * signed_sw
+        num = _sign_pow(_exact_div(c1_lam, 2, "c1.lam") + d) * signed_sw
         a, b = n_a - d, -d - chi_h
         if r_s == delta:
             data = _pow2_jacobi_at_zero(a - 1, b, d)
         else:
             data = _bracket_class(bf, beta2, c1_lam - lam2, a, b, d)
         out.append((r_s, num, bf, data))
-    return out
+    return n_a, half, out
 
 
 def _series_keys(X: FourManifoldData, bound: int) -> list[tuple[int, int]]:
@@ -243,14 +227,13 @@ def _moments(
             if level_one is None:
                 if not (checked or is_characteristic(X.form, w - lam)):
                     raise HypothesisViolated("w - lam is not characteristic")
-                level_one = _level_one_classes(X, w2, info, classes, delta)
-                n_a = (info.i_value - delta) // 4
+                n_a, half, level_one = _level_one_classes(X, w2, info, classes, delta)
                 forms = None, span.linear(lam, 2), span.quadratic(2)
             # Each class carries the prefactor 2^(1 - i(lam)/4 - 3 delta/4)
             # (-1)^(m + (sigma - w^2)/2), with i(lam)/4 + 3 delta/4 = n_a + delta,
             # times (-1)^eps (-2)^d SW(s), (-1)^d in num and 2^d in p = 2^d P.
             entry = level_one
-            scale = _times_pow2(_sign_pow(m + (X.sigma - w2) // 2), 1 - n_a - delta)
+            scale = _times_pow2(_sign_pow(m + half), 1 - n_a - delta)
         else:
             raise BoundTooHigh(
                 f"moment at delta = {delta} needs level-{(delta - info.r_min + 3) // 4} "

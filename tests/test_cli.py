@@ -382,6 +382,18 @@ def test_cmd_moment():
     assert code == 2  # parity holds but the degree needs deeper strata
 
 
+def test_cmd_moment_with_an_odd_exponent_prints_one_error_line(tmp_path):
+    # e3 with the (-1)-class e10 added to w and lambda: sigma - w^2 is odd.
+    doc = json.loads(_catalog_text("e3"))
+    doc["w"][10] += 1
+    doc["lambda"][10] += 1
+    path = tmp_path / "e3_odd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = _run("moment", str(path), "--delta", "2", "--m", "0")
+    assert code == 2
+    assert text == "ERROR NotDivisible: sigma - w^2 = -13/2 is not an integer\n", text
+
+
 def test_cmd_pairing_oracle():
     code, text = _run("pairing", "k3", "--delta", "2", "--m", "0", "--oracle")
     assert code == 0

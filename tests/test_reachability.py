@@ -6,7 +6,9 @@ count, runs the 11 argvs of `_argvs` through `cli.main` and reports the
 (file, first line) of every code object it entered.  Every `def` in `src/monolink/*.py`,
 found with `ast` (its first line is its first decorator's), must be among
 them or in `ALLOWED`, which says why each one stays.  An allowed def that
-was reached, or that no longer exists, is stale and fails too.
+was reached, or that no longer exists, is stale and fails too.  Every class
+in `errors.py` must likewise be named by a `raise` or an `except` in another
+module, so an error type goes with its last raise.
 """
 
 import ast
@@ -162,3 +164,30 @@ def test_allowlist_has_no_stale_entry(reached):
     reached_entries, missing = sorted(set(ALLOWED) & entered), sorted(set(ALLOWED) - defs)
     assert not reached_entries, f"reached, so drop them from ALLOWED: {reached_entries}"
     assert not missing, f"no such def: {missing}"
+
+
+def _raised_or_caught() -> set[str]:
+    """The names every `raise` and `except` outside `errors.py` gives as its
+    exception: a raised call's callee, each type of a caught tuple."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                types = [exc]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            else:
+                continue
+            for t in types:
+                names.add(t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None))
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    unused = sorted(set(classes) - _raised_or_caught())
+    assert classes and not unused, f"nothing raises or catches {unused}; delete them"

@@ -141,6 +141,13 @@ def test_defaults():
     assert zero_a == TruncatedPolynomial(2, 3, {}) and zero_a.den == 1
 
 
+def test_repr_names_each_field_and_nests():
+    assert repr(JacobiParams(1, -2, 3)) == "JacobiParams(a=1, b=-2, d=3)"
+    assert repr(SpincData(C, 1, moment=5)) == (
+        "SpincData(c1=CohomologyClass(coords=(2, 0)), sw=1, moment=5)"
+    )
+
+
 def test_derived_attributes_stay_out_of_equality():
     a, b = _build(PairingInput), _build(PairingInput)
     assert (a.d, a.jacobi, a.normal) == (b.d, b.jacobi, b.normal)

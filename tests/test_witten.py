@@ -6,7 +6,14 @@ import pytest
 
 from monolink import lattice, manifold, polyring, witten
 from monolink.cli import load_fixture
-from monolink.errors import BoundTooHigh, EmptySupport, HypothesisViolated, NotCongruent
+from monolink.errors import (
+    BoundTooHigh,
+    EmptySupport,
+    HypothesisViolated,
+    InputError,
+    NotCongruent,
+    NotDivisible,
+)
 from monolink.lattice import CohomologyClass, pair, square
 from monolink.manifold import FourManifoldData, SpincData, c_of_X, degree_parity_ok, r_and_i
 from monolink.polyring import linear_form, quadratic_form
@@ -54,6 +61,8 @@ def test_sw_vanishing_check_k3(k3):
     X = k3.manifold
     assert sw_vanishing_check(X, k3.w, 1)  # <0, h> = 0
     assert not sw_vanishing_check(X, k3.w, 0)  # boundary degree c-2
+    with pytest.raises(InputError):  # polyring.zero refuses a negative bound
+        sw_vanishing_check(X, k3.w, -1)
 
 
 def test_sw_vanishing_check_e3(e3):
@@ -98,6 +107,16 @@ def test_donaldson_moment_hypothesis_errors(k3):
         donaldson_moment(X, bad_w, k3.lam, 2, 0)  # w - lam not characteristic
     with pytest.raises(HypothesisViolated):
         donaldson_moment(X, k3.w, k3.lam, 2, 3)  # m out of range
+
+
+def test_donaldson_moment_odd_sigma_minus_w_squared_is_not_divisible(e3):
+    # Adding the (-1)-class e10 to both w and lam keeps w - lam characteristic
+    # but makes w^2 = -11 odd, so the level-one sign (-1)^((sigma - w^2)/2)
+    # has no integer exponent.
+    X = e3.manifold
+    e10 = _basis(10, X.form.rank)
+    with pytest.raises(NotDivisible, match=r"^sigma - w\^2 = -13/2 is not an integer$"):
+        donaldson_moment(X, e3.w + e10, e3.lam + e10, 2, 0)
 
 
 def test_donaldson_moment_mixed_levels():
