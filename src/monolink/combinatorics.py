@@ -9,9 +9,10 @@ fractions.  No floating point anywhere.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from typing import Iterable
 
 from ._value import Value
 from .errors import DivisionByZeroPochhammer, InputError
@@ -126,59 +127,57 @@ def jacobi_via_hypergeometric(p: JacobiParams) -> Fraction:
     return Fraction(pochhammer(-p.b - p.d, p.d), math.factorial(p.d)) * hg
 
 
-def segre_constant(M: int, N: int, j: int) -> int:
-    """S_j(M, N) = sum_{k<=j} 2^k C(M,k) C(N,j-k): the triple sum's k-sum."""
-    total = 0
-    for k in range(j + 1):
-        bm = ext_binomial(M, k)
-        if bm:
-            bn = ext_binomial(N, j - k)
-            if bn:
-                total += (bm * bn) << k
-    return total
+def segre_constants(M: int, N: int, js: Iterable[int]) -> list[int]:
+    """[S_j for j in js], S_j(M, N) = sum_{k<=j} 2^k C(M,k) C(N,j-k): the k-sums."""
+    row = []
+    for j in js:
+        s_j = 0
+        for k in range(j + 1):
+            bm = ext_binomial(M, k)
+            if not bm:
+                break  # C(M, k) = 0 for k > M >= 0
+            s_j += (bm * ext_binomial(N, j - k)) << k
+        row.append(s_j)
+    return row
 
 
 def _triple_weights(A: int, v: int, d: int) -> list[int]:
     """[T_0..T_d], T_j = 2^(d-j) sum_i (-1)^(i+j) C(A-v,i) C(d+3-v-i-j, d-i-j)."""
     weights = []
     for j in range(d + 1):
-        t_j = 0
-        for i in range(d - j + 1):
+        n, t_j = d - j, 0
+        for i in range(n + 1):
             bi = ext_binomial(A - v, i)
-            if bi:
-                bj = ext_binomial(d + 3 - v - i - j, d - i - j)
-                if bj:
-                    t_j += -bi * bj if (i + j) & 1 else bi * bj
-        weights.append(t_j << (d - j))
+            if not bi:
+                break  # C(A-v, i) = 0 for i > A-v >= 0
+            bj = ext_binomial(n + 3 - v - i, n - i)  # positive, as v <= 3
+            t_j += -bi * bj if (i + j) & 1 else bi * bj
+        weights.append(t_j << n)
     return weights
 
 
-def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> Fraction:
+def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> int:
     """Literal evaluation of the triple sum
 
         sum_{i<=d} sum_{j<=d-i} sum_{k<=j} (-1)^(i+j) 2^(d-j+k)
             C(A-v,i) C(d+3-v-i-j, d-i-j) C(M,k) C(N,j-k)
 
-    with no algebraic simplification (zero factors are merely skipped):
+    with no algebraic simplification (a binomial's zero tail is skipped):
     the same finite sum of exact integers, grouped by distributivity as
-    sum_j S_j T_j with the k-sum S_j = `segre_constant(M, N, j)` and the
-    i-sum T_j = `_triple_weights(A, v, d)`[j], in O(d^2) lookups.
+    sum_j S_j T_j, one call per factor row: the i-sums T_0..T_d =
+    `_triple_weights(A, v, d)`, the k-sums `segre_constants(M, N, 0..d)`.
 
     The one implementation of the Segre-weighted nested sum for one tuple,
     called by the benchmark's identity-sweep cases and by the raw
     link-pairing oracle, which reads each of its six term-family weights
     from it at (M, N) = (-n', -n'') and the family's own (A, v).
-    `triple_sum_sweep` forms the same S and T lists, each once per box row.
+    `triple_sum_sweep` forms the same S and T rows, each once per box row.
     """
     if d < 0:
         raise InputError("d must be non-negative")
     if v not in (0, 1, 2, 3):
         raise InputError("v must lie in 0..3")
-    total = 0
-    for j, t in enumerate(_triple_weights(A, v, d)):
-        if t:
-            total += t * segre_constant(M, N, j)
-    return Fraction(total)
+    return sum(map(mul, _triple_weights(A, v, d), segre_constants(M, N, range(d + 1))))
 
 
 def triple_sum_sweep(
@@ -190,22 +189,23 @@ def triple_sum_sweep(
 
     over a_range[0] <= A <= a_range[1], |M|, |N| <= mn_bound,
     0 <= d <= d_max and v in 0..3, with S_0..S_dmax formed once per (M, N)
-    and the T lists once per (A, v, d); each tuple's int sum_j S_j T_j is
-    compared with the int 2^d P(0), formed once per (A, M, N, d).  Raises
+    and the T rows once per (A, v, d); each tuple's int sum_j S_j T_j is
+    compared with the int 2^d P(0), formed once per (A + M, N, d).  Raises
     InputError when the box is empty: a sweep of nothing proves nothing.
     """
-    mn, js = range(-mn_bound, mn_bound + 1), range(d_max + 1)
-    s_rows = [(M, N, [segre_constant(M, N, j) for j in js]) for M in mn for N in mn]
+    a_all, mn = range(a_range[0], a_range[1] + 1), range(-mn_bound, mn_bound + 1)
+    s_rows = {(M, N): segre_constants(M, N, range(d_max + 1)) for M in mn for N in mn}
     count = bad = 0
-    for A in range(a_range[0], a_range[1] + 1):
-        for d in range(d_max + 1):
-            t_rows = [_triple_weights(A, v, d) for v in range(4)]
-            for M, N, s_row in s_rows:
-                rhs = _pow2_jacobi_at_zero(3 - N - A - M, A + M - 4 - d, d)
-                for t_row in t_rows:
-                    count += 1
-                    if sum(map(operator.mul, s_row, t_row)) != rhs:
-                        bad += 1
+    for d in range(d_max + 1):
+        t_rows = {A: [_triple_weights(A, v, d) for v in range(4)] for A in a_all}
+        for am in range(a_range[0] - mn_bound, a_range[1] + mn_bound + 1):  # am = A + M
+            for N in mn:
+                rhs = _pow2_jacobi_at_zero(3 - N - am, am - 4 - d, d)
+                for M in mn:
+                    s_row = s_rows[M, N]
+                    for t_row in t_rows.get(am - M, ()):
+                        count += 1
+                        bad += sum(map(mul, s_row, t_row)) != rhs
     if count == 0:
         raise InputError("the triple-sum sweep box is empty")
     return count, bad

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from ._value import Value
 from .combinatorics import (
-    JacobiParams, _pow2_jacobi_at_zero, jacobi_at_zero, segre_constant, triple_sum_lhs
+    JacobiParams, _pow2_jacobi_at_zero, jacobi_at_zero, segre_constants, triple_sum_lhs
 )
 from .errors import (
     HypothesisViolated,
@@ -33,6 +33,7 @@ from .manifold import (
     FourManifoldData,
     SpincData,
     SpinuData,
+    _exact_div,
     blow_up_manifold,
     blow_up_spinc,
     blow_up_spinu,
@@ -75,10 +76,10 @@ class SegreInput(Value):
 
 
 def s_constants(n_prime: int, n_dblprime: int, j: int) -> int:
-    """S_j = sum_k 2^k C(-n', k) C(-n'', j-k): `segre_constant(-n', -n'', j)`."""
+    """S_j = sum_k 2^k C(-n', k) C(-n'', j-k): `segre_constants` at (-n', -n'')."""
     if j < 0:
         raise InputError("j must be non-negative")
-    return segre_constant(-n_prime, -n_dblprime, j)
+    return segre_constants(-n_prime, -n_dblprime, (j,))[0]
 
 
 def segre_coefficient(inp: SegreInput) -> int:
@@ -91,13 +92,11 @@ def _segre_inverse_series(n_prime: int, n_dblprime: int, p: int) -> list[int]:
     factor has constant term 1; entry q is the same for every truncation p >= q."""
     chern = [1] + [0] * p
     for slope, power in ((2, n_prime), (1, n_dblprime)):
+        # times (1 + slope mu) top coefficient first, or divided by it bottom first
+        step, order = (slope, range(p, 0, -1)) if power > 0 else (-slope, range(1, p + 1))
         for _ in range(abs(power)):
-            if power > 0:  # times (1 + slope mu), top coefficient first
-                for i in range(p, 0, -1):
-                    chern[i] += slope * chern[i - 1]
-            else:  # divided by (1 + slope mu), bottom coefficient first
-                for i in range(1, p + 1):
-                    chern[i] -= slope * chern[i - 1]
+            for i in order:
+                chern[i] += step * chern[i - 1]
     inverse = [1]
     for k in range(1, p + 1):
         inverse.append(-sum(chern[j] * inverse[k - j] for j in range(1, k + 1)))
@@ -203,10 +202,10 @@ class PairingInput(Value):
                 "2(delta+eta) != dim(ambient moduli / circle) - 1"
             )
         ds = dim_sw(self.X, self.s)
-        if ds < 0 or ds % 2 != 0:
-            raise HypothesisViolated(f"d_s = {ds} must be even and non-negative")
+        if ds < 0:
+            raise HypothesisViolated(f"d_s = {ds} must be non-negative")
+        d = _exact_div(ds, 2, "d_s")
         self.X.form._require_rank(self.h)
-        d = ds // 2
         a = self.eta - d + 1
         # d_a = -2 p1 - 6 chi_h is even, so b = delta - d_a/2 - d - chi_h is integral.
         b = self.delta - d_a // 2 - d - holomorphic_euler(self.X)
@@ -325,15 +324,15 @@ def link_pairing_raw(inp: PairingInput) -> PairingValue:
     Overall sign (-1)^(m+1+d) (the rank-free collapse of the orientation
     bookkeeping), factor 2^(-delta-1), the four instanton pairing values
     substituted into six term families, and each family weighted by the
-    Segre-weighted nested sum T(A, v) = triple_sum_lhs(A, -n', -n'', d, v)
-    at its own (A, v): a family lacking l of the <beta,h> factors carries
+    integer nested sum T(A, v) = triple_sum_lhs(A, -n', -n'', d, v) at its
+    own (A, v): a family lacking l of the <beta,h> factors carries
     C(delta - l, i) = C(A - v, i).  No Jacobi value and no bracket.
     """
     X, t, s, Q, d, m = inp.X, inp.t_prime, inp.s, inp.X.form, inp.d, inp.m
     delta, n, (n1, n2) = inp.delta, inp.delta - 2 * inp.m, inp.normal
     bound = max(n, 2)
 
-    def T(A: int, v: int) -> Fraction:
+    def T(A: int, v: int) -> int:
         return triple_sum_lhs(A, -n1, -n2, d, v)
 
     def nu(kind: str, alpha=None) -> TruncatedPolynomial:

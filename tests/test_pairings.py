@@ -8,7 +8,7 @@ import pytest
 from monolink import combinatorics, lattice, manifold, pairings, polyring, witten
 from monolink.cli import main
 from monolink.combinatorics import JacobiParams, jacobi_at_zero
-from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment
+from monolink.errors import HypothesisViolated, JacobiZeroDivide, MissingMoment, NotDivisible
 from monolink.lattice import CohomologyClass, pair, square
 from monolink.manifold import (
     SpincData,
@@ -123,6 +123,24 @@ def test_pairing_input_validation(k3):
     t_wrong_level = SpinuData(c1=k3.lam, p1=-4, w=k3.w)
     with pytest.raises(HypothesisViolated):
         PairingInput(X=X, t_prime=t_wrong_level, s=s, delta=2, m=0, eta=0, h=h)
+
+
+def test_pairing_input_rejects_odd_d_s_as_the_moment_layer_does(monkeypatch, k3):
+    # No real input gets here: on a unimodular form a characteristic c1 has
+    # c1^2 = sigma (mod 8), so d_s = (c1^2 - 2 chi - 3 sigma)/4 is even.  An odd
+    # d_s raises what `witten._level_one_classes`' `_exact_div(d_s, 2, "d_s")`
+    # raises; a negative one stays a hypothesis of the pairing.
+    inp = _fixture_input(k3)
+    fields = {key: getattr(inp, key) for key in ("X", "t_prime", "s", "delta", "m", "eta", "h")}
+    with pytest.raises(NotDivisible) as moment_layer:
+        manifold._exact_div(3, 2, "d_s")
+    monkeypatch.setattr(pairings, "dim_sw", lambda X, s: 3)
+    with pytest.raises(NotDivisible) as pairing:
+        PairingInput(**fields)
+    assert str(pairing.value) == str(moment_layer.value) == "d_s = 3/2 is not an integer"
+    monkeypatch.setattr(pairings, "dim_sw", lambda X, s: -2)
+    with pytest.raises(HypothesisViolated):
+        PairingInput(**fields)
 
 
 def test_k3_closed_is_minus_quadratic_form(k3):
