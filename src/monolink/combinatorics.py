@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 from typing import Iterable
 
 from ._value import Value
@@ -171,7 +172,7 @@ def triple_sum_lhs(A: int, M: int, N: int, d: int, v: int) -> int:
     called by the benchmark's identity-sweep cases and by the raw
     link-pairing oracle, which reads each of its six term-family weights
     from it at (M, N) = (-n', -n'') and the family's own (A, v).
-    `triple_sum_sweep` forms the same S and T rows, each once per box row.
+    `triple_sum_sweep` forms the same rows, each once, and packs T over A.
     """
     if d < 0:
         raise InputError("d must be non-negative")
@@ -188,24 +189,38 @@ def triple_sum_sweep(
         triple_sum_lhs(A, M, N, d, v) = 2^d P^(3-N-A-M, A+M-4-d)_d(0)
 
     over a_range[0] <= A <= a_range[1], |M|, |N| <= mn_bound,
-    0 <= d <= d_max and v in 0..3, with S_0..S_dmax formed once per (M, N)
-    and the T rows once per (A, v, d); each tuple's int sum_j S_j T_j is
-    compared with the int 2^d P(0), formed once per (A + M, N, d).  Raises
-    InputError when the box is empty: a sweep of nothing proves nothing.
+    0 <= d <= d_max and v in 0..3; InputError when the box is empty, as a
+    sweep of nothing proves nothing.  S_0..S_dmax are formed once per
+    (M, N), T once per (A, v, d) and the int 2^d P(0) once per (A + M, N, d).
+
+    One big-int dot product checks a row of A's: slot i (w bits) holds
+    A = a_min + i in col[v][j] = sum_i T_j(A, v, d) << w*i and in want =
+    sum_i 2^d P(0) << w*i; row (M, N, d, v) holds iff sum_j S_j col[v][j]
+    == want.  Exact: top = max((d+1) max|S_j| max|T_j|, max|2^d P(0)|) and
+    w = top.bit_length() + 2 keep each slot of the packed difference below
+    2^(w-1) in size, so were it zero with a slot nonzero, its lowest nonzero
+    slot would be a multiple of 2^w.  A differing row is recounted per tuple.
     """
-    a_all, mn = range(a_range[0], a_range[1] + 1), range(-mn_bound, mn_bound + 1)
+    n_a, mn = max(a_range[1] - a_range[0] + 1, 0), range(-mn_bound, mn_bound + 1)
     s_rows = {(M, N): segre_constants(M, N, range(d_max + 1)) for M in mn for N in mn}
+    s_top = max(map(abs, chain.from_iterable(s_rows.values())), default=0)
+    ams = range(a_range[0] - mn_bound, a_range[1] + mn_bound + 1)  # A + M
     count = bad = 0
     for d in range(d_max + 1):
-        t_rows = {A: [_triple_weights(A, v, d) for v in range(4)] for A in a_all}
-        for am in range(a_range[0] - mn_bound, a_range[1] + mn_bound + 1):  # am = A + M
-            for N in mn:
-                rhs = _pow2_jacobi_at_zero(3 - N - am, am - 4 - d, d)
-                for M in mn:
-                    s_row = s_rows[M, N]
-                    for t_row in t_rows.get(am - M, ()):
-                        count += 1
-                        bad += sum(map(mul, s_row, t_row)) != rhs
+        t_rows = [[_triple_weights(a_range[0] + i, v, d) for i in range(n_a)] for v in range(4)]
+        rhs = {N: [_pow2_jacobi_at_zero(3 - N - am, am - 4 - d, d) for am in ams] for N in mn}
+        t_top = max(map(abs, chain.from_iterable(chain.from_iterable(t_rows))), default=0)
+        r_top = max(map(abs, chain.from_iterable(rhs.values())), default=0)
+        w = max((d + 1) * s_top * t_top, r_top).bit_length() + 2
+        shifts = range(0, w * n_a, w)
+        cols = [[sum(map(lshift, c, shifts)) for c in zip(*rows)] for rows in t_rows]
+        for (M, N), s_row in s_rows.items():
+            r = rhs[N][M + mn_bound : M + mn_bound + n_a]
+            want = sum(map(lshift, r, shifts))
+            for rows, col in zip(t_rows, cols):
+                count += n_a
+                if sum(map(mul, s_row, col)) != want:
+                    bad += sum(sum(map(mul, s_row, t)) != x for t, x in zip(rows, r))
     if count == 0:
         raise InputError("the triple-sum sweep box is empty")
     return count, bad

@@ -186,7 +186,17 @@ def _brute_force_sweep(a_range, mn_bound, d_max):
     return count, bad
 
 
-SWEEP_BOXES = [((-2, 2), 1, 3), ((-6, -5), 2, 5), ((4, 4), 0, 8)]
+# The last three boxes: one A (a single packed slot), mn_bound = 0, and d = 8
+# with dot products of both signs (-3 to 14,318,591).  Only these three have
+# negative dot products, whose packed slots borrow from their neighbours.
+SWEEP_BOXES = [
+    ((-2, 2), 1, 3),
+    ((-6, -5), 2, 5),
+    ((4, 4), 0, 8),
+    ((3, 3), 2, 4),
+    ((-3, 5), 0, 6),
+    ((-6, 4), 1, 8),
+]
 
 
 @pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
@@ -198,24 +208,54 @@ def test_triple_sum_sweep_matches_brute_force(a_range, mn_bound, d_max):
     assert bad == 0
 
 
-@pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
-def test_triple_sum_sweep_counts_a_wrong_right_side(monkeypatch, a_range, mn_bound, d_max):
-    # Shift P(0) by one at the Jacobi triple of the box corner (A, M, N, d) =
-    # (a_min, -mn_bound, -mn_bound, d_max), in `_jacobi_at_zero`, which both
-    # the sweep's integer 2^d P(0) and the brute force's `jacobi_at_zero`
-    # read: the sweep must count exactly the mismatches the brute force
-    # counts, and some.
-    A, M, N, d = a_range[0], -mn_bound, -mn_bound, d_max
-    target = (3 - N - A - M, A + M - 4 - d, d)
+def _shift_jacobi(monkeypatch, shifts):
+    # Add shifts[(A, M, N, d)] / 2^d to P(0) at that tuple's Jacobi triple, in
+    # `_jacobi_at_zero`, which both the sweep's integer 2^d P(0) and the brute
+    # force's `jacobi_at_zero` read, so 2^d P(0) moves by the shift itself.
+    by_triple = {
+        (3 - N - A - M, A + M - 4 - d, d): Fraction(delta, 2**d)
+        for (A, M, N, d), delta in shifts.items()
+    }
     real = combinatorics._jacobi_at_zero
 
     def shifted(a, b, d):
-        return real(a, b, d) + ((a, b, d) == target)
+        return real(a, b, d) + by_triple.get((a, b, d), 0)
 
     monkeypatch.setattr(combinatorics, "_jacobi_at_zero", shifted)
-    count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
-    assert bad > 0
-    assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max)
+
+
+@pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
+def test_triple_sum_sweep_counts_a_wrong_right_side(monkeypatch, a_range, mn_bound, d_max):
+    # Shift 2^d P(0) by one at one tuple: the box corner (a_min, -mn_bound,
+    # -mn_bound, d_max), packed slot 0 of its rows; an interior A at
+    # (M, N, d) = (0, mn_bound, d_max // 2); and a_max, the top slot, at
+    # (mn_bound, 0, d_max).  Each time the sweep must count exactly the
+    # mismatches the brute force counts, and some.
+    a_min, a_max = a_range
+    for where in [
+        (a_min, -mn_bound, -mn_bound, d_max),
+        ((a_min + a_max) // 2, 0, mn_bound, d_max // 2),
+        (a_max, mn_bound, 0, d_max),
+    ]:
+        with monkeypatch.context() as m:
+            _shift_jacobi(m, {where: 1})
+            count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+            assert bad > 0, where
+            assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max), where
+
+
+def test_triple_sum_sweep_counts_a_carry_across_slots(monkeypatch):
+    # Lower 2^d P(0) by 2^k at (A, M, N, d) and raise it by one at
+    # (A + 1, M, N, d), adjacent slots of the same packed rows: the packed
+    # difference 2^k - 2^w * 1 vanishes when k equals the slot width w, so
+    # a fixed width would miss one k; the sweep sizes w from the box's values.
+    a_range, mn_bound, d_max = (-2, 2), 1, 3
+    for k in range(1, 80):
+        with monkeypatch.context() as m:
+            _shift_jacobi(m, {(-1, 0, 1, 3): -(2**k), (0, 0, 1, 3): 1})
+            count, bad = triple_sum_sweep(a_range, mn_bound, d_max)
+            assert bad > 0, k
+            assert (count, bad) == _brute_force_sweep(a_range, mn_bound, d_max), k
 
 
 def test_integer_right_side_on_the_default_box():
