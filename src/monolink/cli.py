@@ -27,35 +27,15 @@ from typing import Optional, Sequence
 
 from ._value import Value
 from .combinatorics import (
-    ext_binomial,
-    pochhammer,
-    triple_sum_sweep,
-    vandermonde_check,
+    ext_binomial, pochhammer, segre_inversion_sweep, triple_sum_sweep, vandermonde_check
 )
 from .errors import (
-    EmptySupport,
-    FixtureError,
-    HypothesisViolated,
-    InputError,
-    InvariantError,
-    MonolinkError,
-    ParseError,
-    SchemaError,
+    EmptySupport, FixtureError, HypothesisViolated, InputError, InvariantError, MonolinkError,
+    ParseError, SchemaError,
 )
-from .lattice import CohomologyClass, IntersectionForm, square
-from .manifold import (
-    FourManifoldData, SpincData, SpinuData, dims_asd, dim_sw, require_odd_b_plus
-)
-from .pairings import (
-    PairingInput,
-    blow_up_pairing_closed,
-    blow_up_pairing_polarized,
-    link_pairing_closed,
-    link_pairing_raw,
-    segre_inversion_sweep,
-)
-from .witten import donaldson_moment, verify_witten
 
+# Every other layer is imported by the function that runs it, so that a
+# `fuzz-identities` process loads only the combinatorial kernel.
 CATALOG = ("k3", "e3", "e5")
 
 # The Pochhammer reflection sweep's box: r in [-10, 10], ell in [0, 10].
@@ -91,6 +71,9 @@ def _invariant_error(tag: str):
 def parse_fixture(doc: dict, where: str = "fixture") -> Fixture:
     """Check a parsed JSON document's fields and containers; the constructors
     check every value in them."""
+    from .lattice import CohomologyClass, IntersectionForm
+    from .manifold import FourManifoldData, SpincData, dim_sw, require_odd_b_plus
+
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be an object")
     name = _expect(doc, "name", str, where)
@@ -185,6 +168,8 @@ def _print_checks(out, title: str, checks) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .witten import verify_witten
+
     fx = _resolve_fixture(args.fixture)
     report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
     name = fx.manifold.name
@@ -197,6 +182,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_moment(args, out) -> int:
+    from .witten import donaldson_moment
+
     fx = _resolve_fixture(args.fixture)
     poly = donaldson_moment(fx.manifold, fx.w, fx.lam, args.delta, args.m)
     print(
@@ -209,6 +196,10 @@ def cmd_moment(args, out) -> int:
 
 def _pairing_inputs(fx: Fixture, delta: int, m: int, h: CohomologyClass):
     """One level-one pairing input per basic class, eta fixed by the dims."""
+    from .lattice import square
+    from .manifold import SpinuData, dims_asd
+    from .pairings import PairingInput
+
     X, w, lam = fx.manifold, fx.w, fx.lam
     for s in X.basic_classes:
         p1 = square(X.form, s.c1 - lam) - 4
@@ -225,6 +216,11 @@ def _pairing_inputs(fx: Fixture, delta: int, m: int, h: CohomologyClass):
 
 
 def cmd_pairing(args, out) -> int:
+    from .lattice import CohomologyClass
+    from .pairings import (
+        blow_up_pairing_closed, blow_up_pairing_polarized, link_pairing_closed, link_pairing_raw
+    )
+
     fx = _resolve_fixture(args.fixture)
     blowup_k = args.blowup_k
     if blowup_k is not None and blowup_k < 0:
@@ -309,6 +305,8 @@ def cmd_catalog(args, out) -> int:
 
 
 def _parse_class(text: str) -> CohomologyClass:
+    from .lattice import CohomologyClass
+
     try:
         return CohomologyClass(int(x) for x in text.split(","))
     except ValueError as exc:

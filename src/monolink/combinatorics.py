@@ -1,9 +1,9 @@
 """Exact integer/rational combinatorial kernel.
 
 Rising factorials, binomial coefficients extended to negative arguments,
-constant-argument Jacobi values, terminating hypergeometric sums, and the
-big triple-sum identity, all over arbitrary-precision integers and
-fractions.  No floating point anywhere.
+constant-argument Jacobi values, terminating hypergeometric sums, the
+big triple-sum identity and the Segre-inversion sweep, all over
+arbitrary-precision integers and fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import lshift, mul
+from operator import lshift, mul, ne
 from typing import Iterable
 
 from ._value import Value
@@ -56,24 +56,23 @@ class JacobiParams(Value):
         vars(self).update(a=a, b=b, d=d)
 
 
-@lru_cache(maxsize=None)
-def _jacobi_at_zero(a: int, b: int, d: int) -> Fraction:
+def _pow2_jacobi_at_zero(a: int, b: int, d: int) -> int:
+    """The integer 2^d P^(a,b)_d(0) = sum_v (-1)^(d-v) C(d+a,v) C(d+b,d-v)."""
     total = 0
     for v in range(d + 1):
         term = ext_binomial(d + a, v) * ext_binomial(d + b, d - v)
         total += -term if (d - v) & 1 else term
-    return Fraction(total, 1 << d)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _jacobi_at_zero(a: int, b: int, d: int) -> Fraction:
+    return Fraction(_pow2_jacobi_at_zero(a, b, d), 1 << d)
 
 
 def jacobi_at_zero(p: JacobiParams) -> Fraction:
     """Value at zero: 2^-d sum_v C(d+a,v) C(d+b,d-v) (-1)^(d-v); 1 when d = 0."""
     return _jacobi_at_zero(p.a, p.b, p.d)
-
-
-def _pow2_jacobi_at_zero(a: int, b: int, d: int) -> int:
-    """The integer 2^d P^(a,b)_d(0): `_jacobi_at_zero`'s denominator divides 2^d."""
-    P = _jacobi_at_zero(a, b, d)
-    return (P.numerator << d) // P.denominator
 
 
 def jacobi_general(p: JacobiParams, zeta: Fraction) -> Fraction:
@@ -223,6 +222,36 @@ def triple_sum_sweep(
                     bad += sum(sum(map(mul, s_row, t)) != x for t, x in zip(rows, r))
     if count == 0:
         raise InputError("the triple-sum sweep box is empty")
+    return count, bad
+
+
+def _segre_inverse_series(n_prime: int, n_dblprime: int, p: int) -> list[int]:
+    """[c_0..c_p] of 1/((1+2mu)^n' (1+mu)^n'') on integer lists, exact as every
+    factor has constant term 1; entry q is the same for every truncation p >= q."""
+    chern = [1] + [0] * p
+    for slope, power in ((2, n_prime), (1, n_dblprime)):
+        # times (1 + slope mu) top coefficient first, or divided by it bottom first
+        step, order = (slope, range(p, 0, -1)) if power > 0 else (-slope, range(1, p + 1))
+        for _ in range(abs(power)):
+            for i in order:
+                chern[i] += step * chern[i - 1]
+    inverse = [1]
+    for k in range(1, p + 1):
+        inverse.append(-sum(chern[j] * inverse[k - j] for j in range(1, k + 1)))
+    return inverse
+
+
+def segre_inversion_sweep() -> tuple[int, int]:
+    """(tuples checked, mismatches) of the Segre coefficients S_p(-n', -n'')
+    against the inverse series of (1+2mu)^n' (1+mu)^n'' over |n'|, |n''| <= 5,
+    0 <= p <= 10: one inverse series per (n', n'') at p = 10, compared entry
+    by entry with the row `segre_constants(-n', -n'', range(11))`."""
+    count = bad = 0
+    for n1 in range(-5, 6):
+        for n2 in range(-5, 6):
+            series = _segre_inverse_series(n1, n2, 10)
+            count += len(series)
+            bad += sum(map(ne, series, segre_constants(-n1, -n2, range(11))))
     return count, bad
 
 

@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional
 
 from ._value import Value
 from .combinatorics import (
-    JacobiParams, _pow2_jacobi_at_zero, jacobi_at_zero, segre_constants, triple_sum_lhs
+    JacobiParams, _pow2_jacobi_at_zero, _segre_inverse_series, jacobi_at_zero,
+    segre_constants, triple_sum_lhs,
 )
 from .errors import (
     HypothesisViolated,
@@ -87,41 +88,12 @@ def segre_coefficient(inp: SegreInput) -> int:
     return s_constants(inp.n_prime, inp.n_dblprime, inp.p)
 
 
-def _segre_inverse_series(n_prime: int, n_dblprime: int, p: int) -> list[int]:
-    """[c_0..c_p] of 1/((1+2mu)^n' (1+mu)^n'') on integer lists, exact as every
-    factor has constant term 1; entry q is the same for every truncation p >= q."""
-    chern = [1] + [0] * p
-    for slope, power in ((2, n_prime), (1, n_dblprime)):
-        # times (1 + slope mu) top coefficient first, or divided by it bottom first
-        step, order = (slope, range(p, 0, -1)) if power > 0 else (-slope, range(1, p + 1))
-        for _ in range(abs(power)):
-            for i in order:
-                chern[i] += step * chern[i - 1]
-    inverse = [1]
-    for k in range(1, p + 1):
-        inverse.append(-sum(chern[j] * inverse[k - j] for j in range(1, k + 1)))
-    return inverse
-
-
 def segre_coefficient_by_inversion(n_prime: int, n_dblprime: int, p: int) -> int:
     """Independent oracle: mu^p coefficient of the truncated series inverse
     of the total Chern class (1+2mu)^n' (1+mu)^n''."""
     if p < 0:
         raise InputError("p must be non-negative")
     return _segre_inverse_series(n_prime, n_dblprime, p)[p]
-
-
-def segre_inversion_sweep() -> tuple[int, int]:
-    """(tuples checked, mismatches) of segre_coefficient against its
-    inversion oracle over |n'|, |n''| <= 5, 0 <= p <= 10: one inverse
-    series per (n', n'') at p = 10, each entry compared with its degree."""
-    count = bad = 0
-    for n1 in range(-5, 6):
-        for n2 in range(-5, 6):
-            for p, c in enumerate(_segre_inverse_series(n1, n2, 10)):
-                count += 1
-                bad += c != segre_coefficient(SegreInput(n1, n2, p))
-    return count, bad
 
 
 # ---------------------------------------------------------------------------

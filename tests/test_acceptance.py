@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 from monolink.cli import main
-from monolink.combinatorics import triple_sum_sweep
+from monolink.combinatorics import segre_inversion_sweep, triple_sum_sweep
 from monolink.lattice import CohomologyClass, square
 from monolink.manifold import (
     SpinuData,
@@ -23,7 +23,6 @@ from monolink.pairings import (
     blow_up_pairing_polarized,
     link_pairing_closed,
     link_pairing_raw,
-    segre_inversion_sweep,
 )
 from monolink.polyring import quadratic_form
 from monolink.witten import (

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monolink import cli
+from monolink import cli, pairings, witten
 from monolink.cli import (
     load_catalog_fixture,
     load_fixture,
@@ -169,14 +169,14 @@ def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch, tmp_path
     # side.  Expanding a row to the h-basis walks, with no polynomial product.
     calls = count_calls(TruncatedPolynomial, "render", "__mul__")
     count_calls(Span, "expand")
-    verify_witten = cli.verify_witten
+    verify_witten = witten.verify_witten
 
     def computed(*args, **kwargs):
         report = verify_witten(*args, **kwargs)
         calls.clear()  # from here on, only rendering the report counts
         return report
 
-    monkeypatch.setattr(cli, "verify_witten", computed)
+    monkeypatch.setattr(witten, "verify_witten", computed)
     cases = [("k3", 0, 4), ("e3", 0, 5), ("e5", 0, 7), (str(broken("e3", tmp_path)), 1, 10)]
     for name, exit_code, renders in cases:
         code, text = _run("verify", name)
@@ -423,7 +423,7 @@ def test_cmd_pairing_blowup():
 def test_cmd_pairing_prints_each_check_as_it_arrives(monkeypatch):
     # The second class's pairing raises: the first class's CHECK line is
     # already out, and no SUMMARY follows.
-    closed = cli.link_pairing_closed
+    closed = pairings.link_pairing_closed
     calls = []
 
     def fail_second(inp):
@@ -432,7 +432,7 @@ def test_cmd_pairing_prints_each_check_as_it_arrives(monkeypatch):
             raise HypothesisViolated("second class")
         return closed(inp)
 
-    monkeypatch.setattr(cli, "link_pairing_closed", fail_second)
+    monkeypatch.setattr(pairings, "link_pairing_closed", fail_second)
     code, text = _run("pairing", "e3", "--delta", "1", "--m", "0")
     assert code == 2
     lines = text.splitlines()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,19 +210,21 @@ def test_triple_sum_sweep_matches_brute_force(a_range, mn_bound, d_max):
 
 
 def _shift_jacobi(monkeypatch, shifts):
-    # Add shifts[(A, M, N, d)] / 2^d to P(0) at that tuple's Jacobi triple, in
-    # `_jacobi_at_zero`, which both the sweep's integer 2^d P(0) and the brute
-    # force's `jacobi_at_zero` read, so 2^d P(0) moves by the shift itself.
+    # Add shifts[(A, M, N, d)] to 2^d P(0) at that tuple's Jacobi triple, in
+    # `_pow2_jacobi_at_zero`, which the sweep reads directly and the brute
+    # force's `jacobi_at_zero` reads through the cached `_jacobi_at_zero`; that
+    # cache is swapped for an empty one that lives only inside the patch.
     by_triple = {
-        (3 - N - A - M, A + M - 4 - d, d): Fraction(delta, 2**d)
-        for (A, M, N, d), delta in shifts.items()
+        (3 - N - A - M, A + M - 4 - d, d): delta for (A, M, N, d), delta in shifts.items()
     }
-    real = combinatorics._jacobi_at_zero
+    real = combinatorics._pow2_jacobi_at_zero
 
     def shifted(a, b, d):
         return real(a, b, d) + by_triple.get((a, b, d), 0)
 
-    monkeypatch.setattr(combinatorics, "_jacobi_at_zero", shifted)
+    monkeypatch.setattr(combinatorics, "_pow2_jacobi_at_zero", shifted)
+    fresh = lru_cache(maxsize=None)(combinatorics._jacobi_at_zero.__wrapped__)
+    monkeypatch.setattr(combinatorics, "_jacobi_at_zero", fresh)
 
 
 @pytest.mark.parametrize("a_range, mn_bound, d_max", SWEEP_BOXES)
@@ -261,7 +264,8 @@ def test_triple_sum_sweep_counts_a_carry_across_slots(monkeypatch):
 def test_integer_right_side_on_the_default_box():
     # Every (a, b, d) = (3-N-A-M, A+M-4-d, d) of the fuzz-identities default
     # box (-6 <= A <= 10, |M|, |N| <= 6, d <= 8), negative a and b included:
-    # 2^d P(0) is an int, so P(0)'s denominator divides 2^d.
+    # the integer sum equals 2^d P(0) by the independent full two-binomial
+    # sum at zeta = 0, which divides by 2^d itself.
     triples = {
         (3 - N - A - M, A + M - 4 - d, d)
         for A in range(-6, 11)
@@ -273,7 +277,7 @@ def test_integer_right_side_on_the_default_box():
     for a, b, d in triples:
         value = combinatorics._pow2_jacobi_at_zero(a, b, d)
         assert type(value) is int
-        assert value == 2**d * jacobi_at_zero(JacobiParams(a, b, d)), (a, b, d)
+        assert value == 2**d * jacobi_general(JacobiParams(a, b, d), 0), (a, b, d)
 
 
 @pytest.mark.parametrize(

@@ -60,15 +60,19 @@ def test_segre_inversion_oracle_sample():
 
 
 def test_segre_inversion_sweep_counts_a_wrong_low_degree(monkeypatch):
-    # One (n', n'', p) with p < 10 off by one: the sweep reads every degree
-    # of its one series per (n', n''), not only the top one.
-    real = pairings.segre_coefficient
+    # Entry j = 4 < 10 of the (n', n'') = (-3, 2) row of Segre constants off
+    # by one: the sweep reads every degree of its one series per (n', n''),
+    # not only the top one.
+    real = combinatorics.segre_constants
 
-    def shifted(inp):
-        return real(inp) + ((inp.n_prime, inp.n_dblprime, inp.p) == (-3, 2, 4))
+    def shifted(M, N, js):
+        row = real(M, N, js)
+        if (M, N) == (3, -2):
+            row[4] += 1
+        return row
 
-    monkeypatch.setattr(pairings, "segre_coefficient", shifted)
-    assert pairings.segre_inversion_sweep() == (1331, 1)
+    monkeypatch.setattr(combinatorics, "segre_constants", shifted)
+    assert combinatorics.segre_inversion_sweep() == (1331, 1)
 
 
 def test_segre_oracle_is_an_entry_of_the_sweep_series():
@@ -76,7 +80,7 @@ def test_segre_oracle_is_an_entry_of_the_sweep_series():
     # truncates at its own p, which leaves every lower entry unchanged.
     for n1 in range(-5, 6):
         for n2 in range(-5, 6):
-            series = pairings._segre_inverse_series(n1, n2, 10)
+            series = combinatorics._segre_inverse_series(n1, n2, 10)
             assert len(series) == 11
             for p in range(11):
                 assert segre_coefficient_by_inversion(n1, n2, p) == series[p], (n1, n2, p)

@@ -40,6 +40,9 @@ ALLOWED = {
     "combinatorics.jacobi_via_hypergeometric": _C,
     "lattice.is_good": _C,
     "pairings.b0_coefficient": _C,
+    "pairings.SegreInput.__init__": _C,
+    "pairings.s_constants": _C,
+    "pairings.segre_coefficient": _C,
     "polyring.variable": _C,
     "polyring.TruncatedPolynomial.inverse": _C,
     "polyring.TruncatedPolynomial.constant_term": _C + "; only `inverse` calls it",

@@ -191,15 +191,42 @@ def test_importing_the_cli_leaves_out_dataclasses():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("argv", ["catalog", "fuzz-identities --d-max 1"])
-def test_commands_with_short_rows_leave_out_hashlib(argv):
+def _fresh_main(argv: str, report: str) -> list[str]:
+    """The words that `print(code, report)` prints after `cli.main(argv)`
+    exits with `code` in a fresh interpreter, its stdout swallowed."""
     code = (
         "import contextlib, io, sys, monolink.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = monolink.cli.main({argv.split()!r})\n"
-        "print(code, '_hashlib' in sys.modules)"
+        f"print(code, {report})"
     )
-    assert _fresh_python(code).split() == ["0", "False"]
+    return _fresh_python(code).split()
+
+
+@pytest.mark.parametrize("argv", ["catalog", "fuzz-identities --d-max 1"])
+def test_commands_with_short_rows_leave_out_hashlib(argv):
+    assert _fresh_main(argv, "'_hashlib' in sys.modules") == ["0", "False"]
+
+
+_KERNEL = {"_value", "cli", "combinatorics", "errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        ("fuzz-identities --d-max 0", _KERNEL),
+        ("catalog", _KERNEL | {"lattice", "manifold"}),
+        ("verify k3", _KERNEL | {"lattice", "manifold", "polyring", "pairings", "witten"}),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, layers):
+    # The CLI imports a layer where a command first runs it: the identity
+    # sweeps need only the kernel, the catalog reads fixtures but computes
+    # nothing, and verify loads every layer.
+    report = "*[m for m in sys.modules if m.startswith('monolink.')]"
+    code, *loaded = _fresh_main(argv, report)
+    assert code == "0"
+    assert set(loaded) == {f"monolink.{layer}" for layer in layers}
 
 
 def test_verify_digests_without_hashlib():
