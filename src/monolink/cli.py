@@ -182,13 +182,12 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_moment(args, out) -> int:
-    from .witten import donaldson_moment
+    from .witten import moment_text
 
     fx = _resolve_fixture(args.fixture)
-    poly = donaldson_moment(fx.manifold, fx.w, fx.lam, args.delta, args.m)
+    value = moment_text(fx.manifold, fx.w, fx.lam, args.delta, args.m)
     print(
-        f"MOMENT manifold={fx.manifold.name} delta={args.delta} m={args.m} "
-        f"value={poly.render()}",
+        f"MOMENT manifold={fx.manifold.name} delta={args.delta} m={args.m} value={value}",
         file=out,
     )
     return 0

@@ -14,8 +14,10 @@ as a `_power_table` that its caller builds once for all the walks of p.
 Arithmetic between operands requires equal variable counts and takes the
 smaller bound.  Rendering is deterministic (graded lexicographic order,
 coefficients as p/q).  `Span` gives series that involve only a few linear
-forms <v, h> and Q(h) a ring with a few variables, and expands its results
-back to the h-basis.
+forms <v, h> and Q(h) a ring with a few variables; it expands its results
+back to the h-basis, renders them there without building that polynomial,
+bounds their h-basis size without expanding, or writes them in its own
+coordinates.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
-from math import comb, factorial, gcd, lcm, perm
+from itertools import chain, combinations_with_replacement, compress, zip_longest
+from math import comb, factorial, gcd, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -283,31 +285,55 @@ class TruncatedPolynomial(Value):
 
     # -- deterministic text form ------------------------------------------
 
-    def render(self) -> str:
-        """Graded-lex sorted text form, e.g. '1 + 2*h1*h2 - 1/2*h3^2'."""
-        den, names, pieces = self.den, [f"h{i + 1}" for i in range(self.nvars)], []
-        for expo, num in sorted(
-            self.terms.items(), key=lambda ec: (sum(ec[0]), [-x for x in ec[0]])
-        ):
-            g = gcd(num, den)
-            p, q = abs(num) // g, den // g
-            mono = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, expo) if e]
-            coeff = [] if p == q == 1 and mono else [str(p) if q == 1 else f"{p}/{q}"]
-            pieces.append(("- " if num < 0 else "+ ") + "*".join(coeff + mono))
-        text = " ".join(pieces) or "+ 0"
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+    def render(self, names: Optional[Sequence[str]] = None) -> str:
+        """Graded-lex sorted text form, e.g. '1 + 2*h1*h2 - 1/2*h3^2', with
+        the variables named h1, h2, .. or `names`."""
+        names = names or [f"h{i + 1}" for i in range(self.nvars)]
+        # Degree up, then exponents down, by C comparisons alone: an exponent
+        # tuple within a bound below 256 compares as its bytes.
+        order = sorted(self.terms, key=bytes if self.bound < 256 else None, reverse=True)
+        order.sort(key=sum)
+        monomials = (
+            [n if k == 1 else f"{n}^{k}" for n, k in zip(compress(names, e), filter(None, e))]
+            for e in order
+        )
+        return _render_terms(self.den, zip(map(self.terms.__getitem__, order), monomials))
 
     def digest(self) -> str:
-        """12 hex digits of the sha256 of `render()`, by the builtin `_sha256`
-        (`_sha2` from 3.12) if any: `hashlib`, imported only here, loads OpenSSL."""
-        try:
-            sha = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
-        except ImportError:
-            import hashlib as sha
-        return sha.sha256(self.render().encode("utf-8")).hexdigest()[:12]
+        """12 hex digits of the sha256 of `render()`: see `_digest`."""
+        return _digest(self.render())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
+
+
+def _render_terms(den: int, terms: Iterable[tuple[int, list[str]]]) -> str:
+    """The text of the sum of num/den times the product of the factors over
+    (num, factors) in print order, each coefficient in lowest terms."""
+    pieces, heads = [], {}  # num -> (sign, coefficient text, "" for 1)
+    for num, mono in terms:
+        head = heads.get(num)
+        if head is None:
+            g = gcd(num, den)
+            p, q = abs(num) // g, den // g
+            coeff = "" if p == q == 1 else str(p) if q == 1 else f"{p}/{q}"
+            head = heads[num] = ("- " if num < 0 else "+ "), coeff
+        sign, coeff = head
+        if coeff or not mono:
+            mono = [coeff or "1", *mono]
+        pieces.append(sign + "*".join(mono))
+    text = " ".join(pieces) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _digest(text: str) -> str:
+    """12 hex digits of the sha256 of `text`, by the builtin `_sha256`
+    (`_sha2` from 3.12) if any: `hashlib`, imported only here, loads OpenSSL."""
+    try:
+        sha = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    except ImportError:
+        import hashlib as sha
+    return sha.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def _power_table(p: TruncatedPolynomial, top: int) -> tuple:
@@ -357,6 +383,38 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
                         stack.append((t + 1, left - k, deg + k * d, key, value))
     clean = {e: c for e, c in out.items() if c}
     return TruncatedPolynomial._fast(nvars, bound, clean, den)
+
+
+# Sparse h-basis terms: a monomial is the ascending tuple of its variables'
+# indices, each repeated as often as its power (h1^2 h3 is (0, 0, 2)), so a
+# degree-d key has d entries whatever the rank.  Within one degree, ascending
+# keys are descending exponent tuples: `render`'s order.
+
+
+def _linear_power(form: Sequence[tuple[int, int]], n: int) -> dict:
+    """{key: integer coefficient} of (sum_j g_j h_j)^n over the (j, g_j) of
+    `form`, ascending in j: each multiset of n indices, in the order that
+    combinations_with_replacement gives it, is its own key."""
+    indices, coeffs = [j for j, _ in form], [g for _, g in form]
+    fact, out = factorial(n), {}
+    combos = combinations_with_replacement(indices, n)
+    for key, c in zip(combos, map(prod, combinations_with_replacement(coeffs, n))):
+        if len(set(key)) == n:
+            out[key] = c * fact
+        else:  # the multinomial n!/prod m_j!, exact
+            out[key] = c * fact // prod(factorial(key.count(j)) for j in set(key))
+    return out
+
+
+def _sparse_mul(a: dict, b: dict) -> dict:
+    """The product of two {sparse key: integer coefficient} polynomials."""
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(sorted(ka + kb))
+            out[key] = get(key, 0) + ca * cb
+    return out
 
 
 def zero(nvars: int, bound: int) -> TruncatedPolynomial:
@@ -417,9 +475,11 @@ class Span:
     While k < rank, two more degree-one variables u, v follow the x_i and
     Q(h) is the monomial u*v, so the ordinary total-degree truncation is
     the truncation in h.  `linear`, `quadratic` and the ring operations
-    never leave the subring Q[x, uv]; `expand` maps it back to the h-basis.
-    When k = rank the variables are h itself: `linear` is `linear_form`,
-    `quadratic` is `quadratic_form` and `expand` returns its argument.
+    never leave the subring Q[x, uv]; `expand` maps it back to the h-basis,
+    and `render` writes it as it is, x_i named by `names` (x1, x2, .. when
+    omitted, one name per class) and uv as Q.  When k = rank the variables
+    are h itself: `linear` is `linear_form`, `quadratic` is
+    `quadratic_form`, and `expand` and `render` see the h-basis.
 
     Exactness: when k < rank, Q(h) is not a polynomial in the k forms x_i,
     because its rank exceeds k.  The field Q(x) is algebraically closed in
@@ -430,10 +490,14 @@ class Span:
     """
 
     def __init__(
-        self, form: IntersectionForm, classes: Sequence[CohomologyClass]
+        self,
+        form: IntersectionForm,
+        classes: Sequence[CohomologyClass],
+        names: Optional[Sequence[str]] = None,
     ) -> None:
         self.form = form
         self.basis: list[CohomologyClass] = []
+        self.names: list[str] = []  # of the basis, as `render` writes x_i
         # Integer rows in insertion order, each reduced against the earlier
         # ones and kept sparse: (pivot, row, E) with row = sum_i E_i v_i, the
         # integers row and E coprime and row positive at its pivot.
@@ -441,7 +505,7 @@ class Span:
         # cls.coords -> (combo, m), all integers with m > 0: <cls, h> =
         # sum_i combo_i x_i / m, per class reduced (`_fast` divides out the gcd).
         self._combos: dict[tuple[int, ...], tuple[list[int], int]] = {}
-        for cls in classes:
+        for place, cls in enumerate(classes):
             row, combo, m = self._reduce(cls)
             pivot = next((j for j, c in enumerate(row) if c), None)
             if pivot is None:
@@ -454,6 +518,7 @@ class Span:
             self._echelon.append((pivot, erow, [c // g for c in coeffs]))
             self._combos[cls.coords] = ([0] * len(combo) + [1], 1)
             self.basis.append(cls)
+            self.names.append(names[place] if names else f"x{len(self.basis)}")
         k = self.k = len(self.basis)
         self.full_rank = k == form.rank
         self.nvars = k if self.full_rank else k + 2
@@ -513,43 +578,122 @@ class Span:
         return self._quadratic_poly.truncate(bound)
 
     def expand(self, p: TruncatedPolynomial) -> TruncatedPolynomial:
-        """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b, as one
-        `_sum_of_powers` with a walk per term.  A walk's base is the first of
-        the factors <v_1,h>..<v_k,h>, Q(h) with a nonzero power, and its
-        polynomial factor the product of the later factors' powers: itself
-        one walk.  A call builds each factor's power table and suffix product once."""
+        """p in the h-basis: x^a (uv)^b -> prod <v_i,h>^(a_i) Q(h)^b, from
+        the sparse terms of `_expanded`."""
+        self._require_own(p)
+        if self.full_rank:
+            return p
+        rank, terms = self.form.rank, {}
+        for key, c in self._expanded(p).items():
+            expo = [0] * rank
+            for i in key:
+                expo[i] += 1
+            terms[tuple(expo)] = c
+        return TruncatedPolynomial._fast(rank, p.bound, terms, p.den)
+
+    def render_expanded(self, p: TruncatedPolynomial) -> tuple[int, str]:
+        """(the number of terms, the text) of expand(p), as `render` writes
+        it, from the sparse terms of `_expanded`: no exponent tuple of the
+        rank's length is built, so a term costs what its degree costs."""
+        self._require_own(p)
+        if self.full_rank:
+            return len(p.terms), p.render()
+        terms = self._expanded(p)
+        order = sorted(terms)
+        order.sort(key=len)
+        names = [f"h{i + 1}" for i in range(self.form.rank)]
+        monomials = (
+            list(map(names.__getitem__, key))
+            if len(set(key)) == len(key)
+            else [
+                names[i] if (e := key.count(i)) == 1 else f"{names[i]}^{e}"
+                for i in dict.fromkeys(key)
+            ]
+            for key in order
+        )
+        return len(terms), _render_terms(p.den, zip(map(terms.__getitem__, order), monomials))
+
+    def _expanded(self, p: TruncatedPolynomial) -> dict:
+        """The terms of expand(p) as {sparse key: numerator over p.den}: each
+        term of p is a product of powers of <v_i,h> and Q(h), and each power
+        is built once per call."""
+        k, factors, powers, out = self.k, self._h_factors, {}, {}
+        get = out.get
+        for expo, c in p.terms.items():
+            term = None
+            for i, n in enumerate(expo[:k] + (self._q_power(expo),)):
+                if n:
+                    power = powers.get((i, n))
+                    if power is None:
+                        if i < k:
+                            power = _linear_power(factors[i], n)
+                        else:  # Q(h)^n, by n - 1 products
+                            power = factors[k]
+                            for _ in range(n - 1):
+                                power = _sparse_mul(power, factors[k])
+                        powers[i, n] = power
+                    term = power if term is None else _sparse_mul(term, power)
+            for key, v in (term or {(): 1}).items():
+                out[key] = get(key, 0) + c * v
+        return {key: v for key, v in out.items() if v}
+
+    def expand_bound(self, parts: Sequence[TruncatedPolynomial]) -> int:
+        """A bound on the terms of each expand(p), p in `parts`, that expands
+        nothing: per degree d of their terms, the number of degree-d
+        monomials in the h_j that occur in the factors <v_i,h> and Q(h) their
+        terms use.  When k = rank, the most terms of any p."""
+        if self.full_rank:
+            return max((len(p.terms) for p in parts), default=0)
+        used, degrees = set(), set()
+        for p in parts:
+            self._require_own(p)
+            for expo in p.terms:
+                used.update(compress(range(self.k + 1), expo))  # index k: Q(h)
+                degrees.add(sum(expo))
+        n = len(frozenset().union(*(self._h_supports[i] for i in used)))
+        return sum(comb(n + d - 1, d) if n else 1 for d in degrees)
+
+    def render(self, p: TruncatedPolynomial) -> str:
+        """p as written in span coordinates, x_i named by `names` and uv as
+        Q, e.g. '2*<c1(s0),h>^3 - 1/2*<lam,h>*Q'; `p.render()` when k = rank.
+        Exact, and as long as p has terms in k + 1 variables, whatever the
+        rank."""
+        self._require_own(p)
+        if self.full_rank:
+            return p.render()
+        k = self.k
+        terms = {expo[:k] + (self._q_power(expo),): c for expo, c in p.terms.items()}
+        written = TruncatedPolynomial._fast(k + 1, p.bound, terms, p.den)
+        return written.render(self.names + ["Q"])
+
+    def _require_own(self, p: TruncatedPolynomial) -> None:
         if p.nvars != self.nvars:
             raise DimensionMismatch(
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
-        if self.full_rank:
-            return p
-        rank, products = self.form.rank, {}
-        factors = [_power_table(f, p.bound) for f in self._h_factors]
 
-        def walk(powers: tuple, num: int, den: int) -> tuple:
-            """num/den prod f^e over the last len(powers) factors f, powers e."""
-            i = next((j for j, e in enumerate(powers) if e), 0)
-            rest = powers[i + 1 :]
-            f = products.get(rest)
-            if f is None and any(rest):
-                # Q(h) is the last factor: degree 2 per power.
-                f = products[rest] = _sum_of_powers(
-                    rank, sum(rest) + rest[-1], [walk(rest, 1, 1)]
-                )
-            return factors[len(factors) - len(powers) + i], powers[i], f, num, den
-
-        walks = []
-        for expo, c in p.terms.items():
-            a, (b, b_v) = expo[: self.k], expo[self.k :]
-            if b != b_v:
-                raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
-            walks.append(walk(a + (b,), c, p.den))
-        return _sum_of_powers(rank, p.bound, walks)
+    def _q_power(self, expo: tuple) -> int:
+        """b of a monomial x^a u^b v^b; InputError unless u and v share it."""
+        b, b_v = expo[self.k :]
+        if b != b_v:
+            raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
+        return b
 
     @cached_property
-    def _h_factors(self) -> list[TruncatedPolynomial]:
-        """[<v_1,h>, .., <v_k,h>, Q(h)] in the h-basis, built on the first expand."""
-        return [linear_form(v, self.form, 1) for v in self.basis] + [
-            quadratic_form(self.form, 2)
-        ]
+    def _h_factors(self) -> list:
+        """<v_1,h>, .., <v_k,h> as their (j, g_j), ascending in j, and Q(h) =
+        h^T gram h as its sparse {key: integer coefficient}, on first use."""
+        linear = [[(j, g) for j, g in enumerate(self.form.apply(v)) if g] for v in self.basis]
+        quadratic = {
+            (i, j): g if i == j else 2 * g
+            for i, row in enumerate(self.form._rows)
+            for j, g in row
+            if j >= i
+        }
+        return linear + [quadratic]
+
+    @cached_property
+    def _h_supports(self) -> list[frozenset]:
+        """The indices j of the h_j in each of `_h_factors`."""
+        *linear, quadratic = self._h_factors
+        return [frozenset(j for j, _ in f) for f in linear] + [frozenset(chain(*quadratic))]

@@ -34,7 +34,7 @@ from .manifold import (
 )
 from . import polyring
 from .pairings import _bracket_class, _bracket_walks
-from .polyring import Span, TruncatedPolynomial, _power_table, _sum_of_powers, linear_form
+from .polyring import Span, TruncatedPolynomial, _digest, _power_table, _sum_of_powers, linear_form
 
 
 def _sign_pow(exponent: int) -> int:
@@ -66,9 +66,13 @@ def _require_orthogonal(X: FourManifoldData, lam: CohomologyClass) -> None:
             raise HypothesisViolated(f"lam is not orthogonal to basic class {s.c1.coords}")
 
 
-def _span(X: FourManifoldData, *extra: CohomologyClass) -> Span:
-    """The span of the basic classes with nonzero invariant and `extra`."""
-    return Span(X.form, [s.c1 for s in X.support()] + list(extra))
+def _span(X: FourManifoldData, lam: Optional[CohomologyClass] = None) -> Span:
+    """The span of the basic classes with nonzero invariant and `lam`, their
+    forms named <c1(s<i>),h> by their place i in X.basic_classes and <lam,h>."""
+    named = [(s.c1, f"<c1(s{i}),h>") for i, s in enumerate(X.basic_classes) if s.sw]
+    if lam is not None:
+        named.append((lam, "<lam,h>"))
+    return Span(X.form, [cls for cls, _ in named], [name for _, name in named])
 
 
 def _sw_series(span: Span, signed: list, bound: int) -> TruncatedPolynomial:
@@ -101,6 +105,26 @@ def sw_vanishing_check(X: FourManifoldData, v: CohomologyClass, d: int) -> bool:
     return total.is_zero()
 
 
+def _donaldson_moment(
+    X: FourManifoldData, w: CohomologyClass, lam: CohomologyClass, delta: int, m: int
+) -> tuple[Span, TruncatedPolynomial]:
+    """(span, D(h^(delta-2m) x^m) in the span's variables): see donaldson_moment."""
+    span = _span(X, lam)
+    if delta < 0 or m < 0 or 2 * m > delta:
+        raise HypothesisViolated("need 0 <= 2m <= delta")
+    if not is_characteristic(X.form, w - lam):
+        raise HypothesisViolated("w - lam is not characteristic")
+    signed = _signed_support(X, w)
+    if delta % 4 != _degree_residue(X, signed[0]):
+        return span, polyring.zero(span.nvars, delta - 2 * m)
+    info = r_and_i(X, lam, X.support())
+    if delta != info.r_min + 4:
+        raise HypothesisViolated(
+            f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
+        )
+    return span, _moments(span, X, w, lam, signed, [(delta, m)], info)[delta, m]
+
+
 def donaldson_moment(
     X: FourManifoldData,
     w: CohomologyClass,
@@ -115,20 +139,17 @@ def donaldson_moment(
     coefficient, classes at r = delta-4 through the three-term bracket;
     other classes bound no stratum and contribute nothing.
     """
-    span = _span(X, lam)
-    if delta < 0 or m < 0 or 2 * m > delta:
-        raise HypothesisViolated("need 0 <= 2m <= delta")
-    if not is_characteristic(X.form, w - lam):
-        raise HypothesisViolated("w - lam is not characteristic")
-    signed = _signed_support(X, w)
-    if delta % 4 != _degree_residue(X, signed[0]):
-        return polyring.zero(X.form.rank, delta - 2 * m)
-    info = r_and_i(X, lam, X.support())
-    if delta != info.r_min + 4:
-        raise HypothesisViolated(
-            f"delta = {delta} but the level-one formula needs r(lam)+4 = {info.r_min + 4}"
-        )
-    return span.expand(_moments(span, X, w, lam, signed, [(delta, m)], info)[delta, m])
+    span, moment = _donaldson_moment(X, w, lam, delta, m)
+    return span.expand(moment)
+
+
+def moment_text(
+    X: FourManifoldData, w: CohomologyClass, lam: CohomologyClass, delta: int, m: int
+) -> str:
+    """donaldson_moment(X, w, lam, delta, m) as text, within the row cap of
+    `_render_row`: in full in the h-basis, or in span coordinates."""
+    span, moment = _donaldson_moment(X, w, lam, delta, m)
+    return _render_row(span, [moment], brief=False)[0]
 
 
 def _level_one_classes(
@@ -250,25 +271,22 @@ def _moments(
     return table
 
 
-def _series_part(moments: Mapping, nvars: int, e: int, bound: int) -> TruncatedPolynomial:
-    """Degree e of the Donaldson series, D(h^e)/e! + D(h^e x)/(2 e!), read
-    from the table's entries (e, 0) and (e + 2, 1); a missing entry is 0."""
-    out = polyring.zero(nvars, bound)
-    for m in (0, 1):
-        moment = moments.get((e + 2 * m, m))
-        if moment is not None:
-            den = moment.den * math.factorial(e) << m
-            out = out + TruncatedPolynomial._fast(nvars, bound, dict(moment.terms), den)
-    return out
-
-
 def _assemble_donaldson_series(
     span: Span, moments: Mapping[tuple[int, int], TruncatedPolynomial], bound: int
 ) -> TruncatedPolynomial:
-    """The sum of the series' degree parts e <= bound, from a table over
-    `_series_keys(X, bound)`."""
-    parts = (_series_part(moments, span.nvars, e, bound) for e in range(bound + 1))
-    return sum(parts, polyring.zero(span.nvars, bound))
+    """The series through degree `bound`, the sum of D(h^n x^m)/(n! 2^m) over
+    a table's entries (n + 2m, m), from `_series_keys(X, bound)`, in one pass
+    over their terms into one dict over the lcm of the entries' dens."""
+    dens = [
+        moment.den * math.factorial(delta - 2 * m) << m for (delta, m), moment in moments.items()
+    ]
+    den, out = math.lcm(*dens), {}
+    get = out.get
+    for moment, entry_den in zip(moments.values(), dens):
+        scale = den // entry_den
+        for expo, c in moment.terms.items():
+            out[expo] = get(expo, 0) + c * scale
+    return TruncatedPolynomial._fast(span.nvars, bound, {e: c for e, c in out.items() if c}, den)
 
 
 def assemble_donaldson_series(
@@ -287,20 +305,45 @@ def assemble_donaldson_series(
     return span.expand(_assemble_donaldson_series(span, moments, bound))
 
 
-def _render_part(p: TruncatedPolynomial) -> str:
-    if len(p.terms) <= 6:
-        return p.render()
-    return f"<{len(p.terms)} terms; digest {p.digest()}>"
+# The most h-basis terms a printed row's bound may reach; above it the row
+# prints in span coordinates.  The smallest power of ten above the bound of
+# every row that the catalog and the golden files print (at most 66,045,
+# degree 4 of E(3) with one sign broken; 8,568 for a passing catalog
+# verify), so their text stays as it was, while one side of 95,284 terms,
+# just under it, renders in about 0.2 s on a 2-vCPU host.
+EXPAND_CAP = 100_000
+
+
+def _render_row(span: Span, parts: list, brief: bool) -> list[str]:
+    """The texts of a row's `parts`, polynomials in the span's variables: in
+    the h-basis by `span.render_expanded` while `span.expand_bound(parts)`
+    is at most EXPAND_CAP (`brief`: a part of more than six terms as
+    `<N terms; digest D>`), else exactly in span coordinates by
+    `span.render`, expanding nothing."""
+    if span.expand_bound(parts) > EXPAND_CAP:
+        return [span.render(p) for p in parts]
+    texts = []
+    for p in parts:
+        n, text = span.render_expanded(p)
+        texts.append(f"<{n} terms; digest {_digest(text)}>" if brief and n > 6 else text)
+    return texts
 
 
 class WittenReport(Value):
-    """Structured outcome of a full series comparison on one manifold:
-    `checks` holds its (check id, ok, detail) triples in print order.  A
-    degree row's detail is its two sides in the reduced ring of `span`;
-    every other detail is its final text."""
+    """Structured outcome of a full series comparison on one manifold.
+
+    `lhs` is the Donaldson series and `rhs` 2^(2-c) e^(Q/2) SW, both through
+    degree c+1 in the reduced ring of `span`.  `checks` holds the (check id,
+    ok, detail) triples in print order.  `verify_witten` decides every ok
+    in one pass over the two series (the degrees at which lhs - rhs has
+    terms, and SW has), so no per-degree polynomial exists: a degree row's
+    detail is its degree e, every other detail its final text.  Rows
+    become text only in `check_lines`, as they are printed."""
 
     c: int
     span: Span
+    lhs: TruncatedPolynomial
+    rhs: TruncatedPolynomial
     checks: tuple[tuple[str, bool, object], ...]
 
     @property
@@ -310,13 +353,25 @@ class WittenReport(Value):
     def check_lines(self) -> Iterator[tuple[str, bool, str]]:
         """Yield the (check id, ok, detail) triples in print order.
 
-        The one place a degree row becomes text: each side is expanded to
-        the h-basis with `span.expand` and rendered, an equal row's once."""
+        The one place a row becomes text: each stored series is split into
+        its degrees once, and degree e's row is `lhs=<A> rhs=<B>`, an equal
+        row's side rendered once.  Its h-basis size is bounded first,
+        expanding nothing: the number of degree-e monomials in the h_j that
+        occur in <v_i, h> or Q(h) over the span's factors its terms use.
+        Up to EXPAND_CAP (100,000) each side is written in the h-basis, in
+        full up to six terms, else as `<N terms; digest D>` with D the
+        first 12 hex digits of the sha256 of its text.  Above the cap each
+        side is written exactly in span coordinates, as in
+        `lhs=1/54*<c1(s0),h>^3*Q + 1/486*<c1(s0),h>^5`: <c1(s<i>),h> is the
+        form of basic class i of the fixture, <lam,h> that of lam and Q is
+        Q(h), so the text's length depends on the span, not the rank."""
+        degrees = range(self.c + 2)
+        lhs, rhs = self.lhs.homogeneous_parts(degrees), self.rhs.homogeneous_parts(degrees)
         for check_id, ok, detail in self.checks:
-            if isinstance(detail, tuple):
-                lhs = _render_part(self.span.expand(detail[0]))
-                rhs = lhs if ok else _render_part(self.span.expand(detail[1]))
-                detail = f"lhs={lhs} rhs={rhs}"
+            if check_id.startswith("degree."):
+                sides = [lhs[detail]] if ok else [lhs[detail], rhs[detail]]
+                texts = _render_row(self.span, sides, brief=True)
+                detail = f"lhs={texts[0]} rhs={texts[-1]}"
             yield check_id, ok, detail
 
 
@@ -329,10 +384,13 @@ def verify_witten(
     """Full low-degree comparison of the two series on one manifold.
 
     Checks the hypotheses by name, assembles the invariant series through
-    degree c+1, compares it with 2^(2-c) e^(Q/2) times the monopole series,
-    and runs the two named coefficient identities at degrees c-2 and c.
+    degree c+1 in one pass over the moment table, builds 2^(2-c) e^(Q/2)
+    times the monopole series, and decides every degree, congruence and
+    vanishing row from the degrees of the terms of their difference and of
+    the monopole series; the two named coefficient identities at degrees
+    c-2 and c compare table entries with two parts of the monopole series.
     Everything is computed and compared in one Span of the support and lam;
-    the rows expand to the h-basis only when rendered.
+    no row is split out, expanded or rendered until `check_lines` prints it.
     """
     require_odd_b_plus(X)
     if attributes:
@@ -360,38 +418,37 @@ def verify_witten(
     signed = _signed_support(X, w)
     info = r_and_i(X, lam, X.support())
     moments = _moments(span, X, w, lam, signed, _series_keys(X, bound), info)
+    lhs = _assemble_donaldson_series(span, moments, bound)
     sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)
-    series = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
-    rows = []
-    for e, rhs in enumerate(series.homogeneous_parts(range(bound + 1))):
-        lhs = _series_part(moments, span.nvars, e, bound)
-        rows.append((f"degree.{e}", lhs == rhs, (lhs, rhs)))
+    rhs = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
+    differ = {sum(expo) for expo in (lhs - rhs).terms}
     # Degree d of sw is sum_s eps_s SW(s) <c1(s),h>^d / d!: the power sums
-    # of the vanishing rows and both coefficient identities.
-    sw_parts = sw.homogeneous_parts(range(bound + 1))
+    # of the vanishing rows.
+    sw_degrees = {sum(expo) for expo in sw.terms}
+    # lhs = rhs + (lhs - rhs), and rhs starts in sw's lowest degree, since
+    # e^(Q/2) = 1 + ...: both series vanish below c-2 iff neither lhs - rhs
+    # nor sw has a term there.
+    low = all(d >= c - 2 for d in differ | sw_degrees)
     # The hypotheses above force r(lam, c1(s)) = c-4 on the support and
     # i(lam) = c+4, so both identities read level-one table entries.
     zero = polyring.zero(span.nvars, 0)
-    point_rhs = _times_pow2(math.factorial(c - 2), 3 - c) * sw_parts[c - 2]
-    top_rhs = _times_pow2(math.factorial(c), 2 - c) * (
-        sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
-    )
-    low = all(lhs.is_zero() and rhs.is_zero() for _, _, (lhs, rhs) in rows[: c - 2])
+    sw_low, sw_top = sw.homogeneous_parts(range(c - 2, c + 1, 2))
+    point_rhs = _times_pow2(math.factorial(c - 2), 3 - c) * sw_low
+    top_rhs = _times_pow2(math.factorial(c), 2 - c) * (sw_top + Fraction(1, 2) * (qf * sw_low))
     checks = [
         ("congruence.low_degree", low, f"both series vanish below degree {c - 2}"),
-        *rows,
-        ("congruence.witten", all(ok for _, ok, _ in rows),
-         f"series agree through degree {c + 1}"),
+        *((f"degree.{e}", e not in differ, e) for e in range(bound + 1)),
+        ("congruence.witten", not differ, f"series agree through degree {c + 1}"),
         ("coefficient.point_class", moments.get((c, 1), zero) == point_rhs,
          "degree c-2 moment identity"),
         ("coefficient.top", moments.get((c, 0), zero) == top_rhs, "degree c moment identity"),
     ]
-    for d, part in enumerate(sw_parts):
-        expected, actual = d < c - 2 or (d - c) % 2 != 0, part.is_zero()
+    for d in range(bound + 1):
+        expected, actual = d < c - 2 or (d - c) % 2 != 0, d not in sw_degrees
         detail = f"expected_zero={expected} actual_zero={actual}"
         checks.append((f"vanishing.d{d}", actual or not expected, detail))
-    return WittenReport(c, span, tuple(checks))
+    return WittenReport(c, span, lhs, rhs, tuple(checks))
 
 
 def sign_change_check(

@@ -148,6 +148,23 @@ def elliptic_fixture(n: int, alexander: dict[int, int] = UNKNOT) -> Fixture:
     return Fixture(X, w, lam, attributes)
 
 
+def fixture_document(fx: Fixture) -> dict:
+    """fx as the JSON document `cli.parse_fixture` reads (no moments: every
+    class of the builders above is zero-dimensional)."""
+    X = fx.manifold
+    return {
+        "name": X.name,
+        "chi": X.chi,
+        "sigma": X.sigma,
+        "b_plus": X.form.b_plus,
+        "gram": [list(row) for row in X.form.gram],
+        "basic_classes": [{"c1": list(s.c1.coords), "sw": s.sw} for s in X.basic_classes],
+        "w": list(fx.w.coords),
+        "lambda": list(fx.lam.coords),
+        "attributes": dict(fx.attributes),
+    }
+
+
 @pytest.fixture(scope="session")
 def form_h():
     return IntersectionForm([[0, 1], [1, 0]])

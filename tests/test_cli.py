@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from monolink.cli import (
 from monolink.errors import HypothesisViolated, InvariantError, ParseError, SchemaError
 from monolink.polyring import Span, TruncatedPolynomial
 
+from conftest import elliptic_fixture, fixture_document
 from test_cli_golden import broken
 
 
@@ -165,10 +167,12 @@ def test_cmd_verify_remaining_catalog():
 
 def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch, tmp_path):
     # An equal degree row's lhs and rhs are the same polynomial, so it is
-    # expanded and rendered once; an unequal row expands and renders each
-    # side.  Expanding a row to the h-basis walks, with no polynomial product.
-    calls = count_calls(TruncatedPolynomial, "render", "__mul__")
-    count_calls(Span, "expand")
+    # rendered once; an unequal row renders each side.  Rendering a catalog
+    # row writes its h-basis terms with no polynomial product, and neither
+    # builds the h-basis polynomial (`expand`) nor falls back to span
+    # coordinates (`render`).
+    calls = count_calls(Span, "render_expanded", "render", "expand")
+    count_calls(TruncatedPolynomial, "__mul__")
     verify_witten = witten.verify_witten
 
     def computed(*args, **kwargs):
@@ -181,26 +185,87 @@ def test_cmd_verify_renders_an_equal_row_once(count_calls, monkeypatch, tmp_path
     for name, exit_code, renders in cases:
         code, text = _run("verify", name)
         assert code == exit_code, text
-        assert calls["expand"] == calls["render"] == renders, name
-        assert calls["__mul__"] == 0, name
+        assert calls["render_expanded"] == renders, name
+        assert calls["render"] == calls["expand"] == calls["__mul__"] == 0, name
 
 
 def test_cmd_verify_writes_each_check_line_as_it_finishes(monkeypatch):
-    # Only rendering a degree row expands it, once per passing row: the
-    # k-th expand finds congruence.low_degree and the k - 1 rows before it
+    # Only printing a degree row renders it, once per passing row: the k-th
+    # rendering finds congruence.low_degree and the k - 1 rows before it
     # already written.
-    buf, written, expand = io.StringIO(), [], Span.expand
+    buf, written, render = io.StringIO(), [], Span.render_expanded
 
     def counting(self, p):
         written.append(buf.getvalue().count("\nCHECK "))
-        return expand(self, p)
+        return render(self, p)
 
-    monkeypatch.setattr(Span, "expand", counting)
+    monkeypatch.setattr(Span, "render_expanded", counting)
     for name in ("k3", "e3", "e5"):
         buf.seek(0), buf.truncate(), written.clear()
         assert main(["verify", name], out=buf) == 0, buf.getvalue()
         rows = buf.getvalue().count("\nCHECK degree.")
         assert written == list(range(1, rows + 1)), name
+
+
+def _rank_58_elliptic(directory: Path, raised: bool) -> Path:
+    """E(5) on its full rank-58 form as a fixture file, built here rather than
+    checked in; `raised`: its first SW value raised by 1."""
+    doc = fixture_document(elliptic_fixture(5))
+    if raised:
+        doc["basic_classes"][0]["sw"] += 1
+    path = directory / f"e5_rank58{'_raised' if raised else ''}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _cli_subprocess(*argv) -> tuple[int, str, float]:
+    """(exit code, stdout, wall seconds) of `python -m monolink.cli argv`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "monolink.cli", *map(str, argv)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.stderr == b""
+    return proc.returncode, proc.stdout.decode("utf-8"), elapsed
+
+
+# Degree 5 of E(5)'s series, x = <3F, h> the form of its first basic class:
+# its h-basis bound, C(58 + 4, 5) = 6,471,002 monomials, is above the cap.
+E5_DEGREE_5 = "1/54*<c1(s0),h>^3*Q + 1/486*<c1(s0),h>^5"
+
+
+@pytest.mark.parametrize("raised", [False, True], ids=["honest", "raised"])
+def test_cmd_verify_on_the_rank_58_elliptic_surface_within_a_second(tmp_path, raised):
+    # Rows under the cap print in the h-basis, rows above it in span
+    # coordinates, so the report's cost no longer grows with the rank.
+    code, text, elapsed = _cli_subprocess("verify", _rank_58_elliptic(tmp_path, raised))
+    assert code == int(raised), text
+    assert elapsed < 1.0, elapsed
+    rows = dict(line.split(" ", 2)[1:] for line in text.splitlines() if line.startswith("CHECK "))
+    if raised:
+        assert rows["degree.3"].startswith("FAIL lhs=<34220 terms; digest ")
+        assert rows["degree.4"] == (
+            "FAIL lhs=0 rhs=1/64*Q^2 + 1/32*<c1(s0),h>^2*Q + 1/192*<c1(s0),h>^4"
+        )
+    else:
+        assert rows["degree.3"].startswith("PASS lhs=<34220 terms; digest ")
+        assert rows["degree.5"] == f"PASS lhs={E5_DEGREE_5} rhs={E5_DEGREE_5}"
+        assert text.endswith("total=18 pass=18 fail=0 verdict=ALL-PASS\n")
+
+
+def test_cmd_moment_on_the_rank_58_elliptic_surface_within_a_second(tmp_path):
+    # D(h^5), here 5! times degree 5 of the series, is above the cap as that row is.
+    path = _rank_58_elliptic(tmp_path, raised=False)
+    code, text, elapsed = _cli_subprocess("moment", path, "--delta", 5, "--m", 0)
+    assert (code, elapsed < 1.0) == (0, True), (text, elapsed)
+    assert text == (
+        "MOMENT manifold=E(5) delta=5 m=0 value=20/9*<c1(s0),h>^3*Q + 20/81*<c1(s0),h>^5\n"
+    )
 
 
 def test_cmd_verify_input_error():

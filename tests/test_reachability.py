@@ -2,7 +2,7 @@
 
 A fresh interpreter installs a `sys.setprofile` hook before it imports
 `monolink.cli`, so class bodies, import-time calls and cold `lru_cache`s
-count, runs the 11 argvs of `_argvs` through `cli.main` and reports the
+count, runs the 12 argvs of `_argvs` through `cli.main` and reports the
 (file, first line) of every code object it entered.  Every `def` in `src/monolink/*.py`,
 found with `ast` (its first line is its first decorator's), must be among
 them or in `ALLOWED`, which says why each one stays.  An allowed def that
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import elliptic_fixture, fixture_document
 from test_cli_golden import broken
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,7 +62,9 @@ ALLOWED = {
     "witten.sw_vanishing_check": "oracle of the low-degree vanishing rows",
     "witten.sign_change_check": "oracle of the sign-change law w -> w'",
     "witten.assemble_donaldson_series": "oracle of the degree rows: the whole series",
-    "witten._assemble_donaldson_series": "the assembly of the two oracles above",
+    "witten.donaldson_moment": "the h-basis moment, traced; `moment` prints moment_text",
+    "polyring.Span.expand": "the h-basis polynomial of the three public series above",
+    "polyring.TruncatedPolynomial.digest": _C + "; a row's digest is `_digest` of its text",
     "polyring.TruncatedPolynomial.__post_init__": _POLY,
     "polyring.TruncatedPolynomial.__neg__": _POLY,
     "polyring.TruncatedPolynomial.homogeneous_part": _POLY,
@@ -97,9 +100,13 @@ print(json.dumps({"codes": codes, "entered": lines}))
 
 def _argvs(directory: Path) -> list[tuple[list[str], int]]:
     """The argvs with their exit codes: every subcommand, a fixture path,
-    a failing verify, the pairing oracles and `--h`."""
+    a failing verify, a verify above the row cap, the pairing oracles and
+    `--h`."""
     k3 = directory / "k3.json"
     shutil.copyfile(PACKAGE / "fixtures" / "k3.json", k3)
+    # Rank 58: its degree-5 row is above the cap, so it prints in span coordinates.
+    e5 = directory / "e5_rank58.json"
+    e5.write_text(json.dumps(fixture_document(elliptic_fixture(5))), encoding="utf-8")
     h = ",".join(["1"] + ["0"] * 21)
     argvs = [
         ("catalog", 0),
@@ -108,6 +115,7 @@ def _argvs(directory: Path) -> list[tuple[list[str], int]]:
         ("verify e5", 0),
         (f"verify {k3}", 0),
         (f"verify {broken('e3', directory)}", 1),
+        (f"verify {e5}", 0),
         ("moment e5 --delta 5 --m 0", 0),
         (f"pairing k3 --delta 2 --m 0 --oracle --blowup-k 2 --h {h}", 0),
         ("pairing e3 --delta 3 --m 0 --oracle --blowup-k 1", 0),

@@ -170,6 +170,10 @@ def test_span_expansion_matches_full_ring(data):
         assert reduced.nvars == span.nvars
         assert span.expand(reduced) == full
         assert reduced.is_zero() == full.is_zero()
+        # The h-basis text comes straight from the reduced ring, and the
+        # bound, computed without expanding, holds.
+        assert span.render_expanded(reduced) == (len(full.terms), full.render())
+        assert span.expand_bound([reduced]) >= len(full.terms)
 
 
 def test_span_picks_independent_classes():
@@ -267,6 +271,22 @@ def test_span_full_rank_is_the_h_basis():
     assert span.quadratic(3) == quadratic_form(form, 3)
     p = span.linear(a, 3) ** 2 + Fraction(1, 3) * span.quadratic(3)
     assert span.expand(p) is p
+
+
+def test_span_render_writes_the_named_forms_and_q():
+    # <a, h> = x1, <b, h> = x2 and Q(h) = uv, written as their names and Q;
+    # the bound counts degree-3 monomials in the h_j the used factors reach.
+    form = IntersectionForm(hyperbolic_gram(3))
+    a, b = CohomologyClass((1, 0, 0, 0, 0, 0)), CohomologyClass((0, 0, 1, 1, 0, 0))
+    plain, named = Span(form, [a, b]), Span(form, [a, b], ["<a,h>", "<b,h>"])
+    p = 2 * plain.linear(a, 3) ** 3 - Fraction(1, 2) * (plain.linear(b, 3) * plain.quadratic(3))
+    assert plain.render(p) == "-1/2*x2*Q + 2*x1^3"  # Q counts once in the order
+    assert named.render(p) == "-1/2*<b,h>*Q + 2*<a,h>^3"
+    assert named.expand_bound([p]) == math.comb(6 + 2, 3)  # Q reaches all six h_j
+    assert named.expand_bound([named.linear(a, 3) ** 3]) == 1  # <a, h> = h2 alone
+    full = Span(form, [CohomologyClass.basis_vector(i, 6) for i in range(6)])
+    q = full.quadratic(2)
+    assert full.render(q) == q.render() and full.expand_bound([q]) == len(q.terms)
 
 
 def test_span_rejects_what_it_cannot_express():

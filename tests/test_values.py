@@ -33,7 +33,7 @@ S = SpincData(C, 1)
 X = FourManifoldData("h", 4, 0, FORM, (S,))
 SPAN = Span(FORM, [C])  # x = <C, h>, then u, v with Q(h) = uv
 P = TruncatedPolynomial(3, 3, {(1, 0, 0): 1, (0, 1, 1): Fraction(1, 2)})
-CHECKS = (("degree.0", True, (P, P)), ("coefficient.top", False, "degree c moment identity"))
+CHECKS = (("degree.0", True, 0), ("coefficient.top", False, "degree c moment identity"))
 
 
 def _k3_pairing_fields() -> dict:
@@ -64,7 +64,11 @@ CASES = {
         ("X", "t_prime", "s", "delta", "m", "eta", "h"), (), _k3_pairing_fields()
     ),
     PairingValue: (("polynomial", "at_h"), (P, Fraction(1, 2)), {}),
-    WittenReport: (("c", "span", "checks"), (2,), {"span": SPAN, "checks": CHECKS}),
+    WittenReport: (
+        ("c", "span", "lhs", "rhs", "checks"),
+        (2,),
+        {"span": SPAN, "lhs": P, "rhs": P, "checks": CHECKS},
+    ),
     Fixture: (("manifold", "w", "lam", "attributes"), (X, C, None), {"attributes": {}}),
 }
 IDS = [cls.__name__ for cls in CASES]

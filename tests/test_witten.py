@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from monolink import lattice, manifold, polyring, witten
-from monolink.cli import load_fixture
+from monolink.cli import load_catalog_fixture, load_fixture
 from monolink.errors import (
     BoundTooHigh,
     EmptySupport,
@@ -264,17 +264,29 @@ def test_report_check_lines_deterministic(k3):
      ("e3", 1, False), ("e5", 1, False)],
 )
 def test_passed_reads_every_check_and_renders_nothing(
-    count_calls, request, tmp_path, name, blow_ups, broken_sign
+    count_calls, monkeypatch, request, tmp_path, name, blow_ups, broken_sign
 ):
+    # Deciding the report neither expands nor renders a polynomial, and it
+    # never splits either stored series into degrees: the only split is the
+    # monopole series' two parts that the coefficient identities compare.
     if broken_sign:
         fx = load_fixture(broken(name, tmp_path))
     else:
         fx = blow_up_fixture(request.getfixturevalue(name), blow_ups)
-    report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
-    calls = count_calls(polyring.Span, "expand")
+    calls = count_calls(polyring.Span, "expand", "render_expanded", "render")
     count_calls(polyring.TruncatedPolynomial, "render")
+    split, parts = [], polyring.TruncatedPolynomial.homogeneous_parts
+
+    def splitting(self, degrees):
+        split.append((self, len(degrees)))
+        return parts(self, degrees)
+
+    monkeypatch.setattr(polyring.TruncatedPolynomial, "homogeneous_parts", splitting)
+    report = verify_witten(fx.manifold, fx.w, fx.lam, attributes=fx.attributes)
     passed = report.passed
     assert not calls
+    assert [n for _, n in split] == [2]
+    assert split[0][0] is not report.lhs and split[0][0] is not report.rhs
     assert passed == all(ok for _, ok, _ in report.check_lines())
     assert passed is not broken_sign
 
@@ -369,8 +381,8 @@ def test_verify_computes_each_moment_once(count_calls, e3, e5):
 
 def test_verify_tabulates_each_class_once(count_calls, k3, e3, e5):
     # One power table of <c1 - lam, h> per class serves the level-zero walks
-    # and every bracket walk of every entry; the rows read the entries, so
-    # the series is never assembled.
+    # and every bracket walk of every entry, and the series is assembled
+    # once, in one pass over the table's entries.
     calls = count_calls(polyring, "_power_table")
     count_calls(witten, "_assemble_donaldson_series")
     for fx, classes in ((k3, 1), (e3, 2), (e5, 4)):
@@ -379,7 +391,7 @@ def test_verify_tabulates_each_class_once(count_calls, k3, e3, e5):
         assert report.passed
         assert len(fx.manifold.support()) == classes
         assert calls["_power_table"] == classes, (fx.manifold.name, calls)
-        assert calls["_assemble_donaldson_series"] == 0, (fx.manifold.name, calls)
+        assert calls["_assemble_donaldson_series"] == 1, (fx.manifold.name, calls)
 
 
 @pytest.mark.parametrize(
@@ -404,8 +416,10 @@ def test_rows_read_from_entries_match_the_assembled_series(request, name, blow_u
     assert series == weighted
     rows = {cid: detail for cid, _, detail in report.checks if cid.startswith("degree.")}
     assert list(rows) == [f"degree.{e}" for e in range(bound + 1)]
+    assert report.lhs == series
     for e in range(bound + 1):
-        assert rows[f"degree.{e}"][0] == series.homogeneous_part(e), (X.name, e)
+        assert rows[f"degree.{e}"] == e
+        assert report.lhs.homogeneous_part(e) == series.homogeneous_part(e), (X.name, e)
 
 
 def test_donaldson_moment_derives_r_and_i_once(count_calls, e3):
@@ -529,3 +543,66 @@ def test_verify_fails_when_one_knot_surgery_sw_value_is_raised_by_one(n, knot):
         classes[k] = SpincData(s.c1, s.sw + 1)
         raised = FourManifoldData(X.name, X.chi, X.sigma, X.form, tuple(classes))
         assert not verify_witten(raised, fx.w, fx.lam, attributes=fx.attributes).passed, k
+
+
+def _raised(fx, k):
+    """fx with the SW value of its k-th basic class raised by 1."""
+    X = fx.manifold
+    classes = list(X.basic_classes)
+    classes[k] = SpincData(classes[k].c1, classes[k].sw + 1)
+    raised = FourManifoldData(X.name, X.chi, X.sigma, X.form, tuple(classes))
+    return type(fx)(raised, fx.w, fx.lam, fx.attributes)
+
+
+VERDICT_CASES = {
+    **{name: lambda name=name: load_catalog_fixture(name) for name in ("k3", "e3", "e5")},
+    **{f"E({n})": lambda n=n: elliptic_fixture(n) for n in range(2, 13)},
+    **{
+        f"E({n})_{knot}": lambda n=n, knot=knot: elliptic_fixture(n, KNOTS[knot])
+        for n in range(3, 7)
+        for knot in KNOTS
+    },
+    **{f"E({n})#CP2bar": lambda n=n: blow_up_fixture(elliptic_fixture(n), 1) for n in range(2, 9)},
+    **{
+        f"E({n})+1@{k}": lambda n=n, k=k: _raised(elliptic_fixture(n), k)
+        for n in range(4, 8)
+        for k in range(n - 1)
+    },
+}
+
+
+def _verdicts_from_the_stored_series(X, w, lam, report):
+    """Each row's ok, read again part by part: the report's two stored series
+    split into degrees and compared with `==` and `is_zero`, the monopole
+    series recovered from the right side as 2^(c-2) e^(-Q/2) rhs, and the
+    coefficient identities' moments built on their own."""
+    c, span, degrees = report.c, report.span, range(report.c + 2)
+    lhs, rhs = report.lhs.homogeneous_parts(degrees), report.rhs.homogeneous_parts(degrees)
+    qf = span.quadratic(c + 1)
+    sw = Fraction(2) ** (c - 2) * ((Fraction(-1, 2) * qf).exp_series() * report.rhs)
+    sw_parts = sw.homogeneous_parts(degrees)
+    low = all(lhs[e].is_zero() and rhs[e].is_zero() for e in range(c - 2))
+    ok = {"congruence.low_degree": low}
+    ok.update((f"degree.{e}", lhs[e] == rhs[e]) for e in degrees)
+    ok["congruence.witten"] = all(lhs[e] == rhs[e] for e in degrees)
+    point = witten._donaldson_moment(X, w, lam, c, 1)[1]
+    top = witten._donaldson_moment(X, w, lam, c, 0)[1]
+    ok["coefficient.point_class"] = point == (
+        Fraction(2) ** (3 - c) * factorial(c - 2) * sw_parts[c - 2]
+    )
+    ok["coefficient.top"] = top == Fraction(2) ** (2 - c) * factorial(c) * (
+        sw_parts[c] + Fraction(1, 2) * (qf * sw_parts[c - 2])
+    )
+    for d in degrees:
+        ok[f"vanishing.d{d}"] = sw_parts[d].is_zero() or not (d < c - 2 or (d - c) % 2 != 0)
+    return ok
+
+
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_each_verdict_equals_the_per_degree_comparison_of_the_stored_series(name):
+    fx = VERDICT_CASES[name]()
+    X, w, lam = fx.manifold, fx.w, fx.lam
+    report = verify_witten(X, w, lam, attributes=fx.attributes)
+    oracle = _verdicts_from_the_stored_series(X, w, lam, report)
+    assert [(cid, ok) for cid, ok, _ in report.checks] == list(oracle.items())
+    assert report.passed is not ("+1@" in name)
