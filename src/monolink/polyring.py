@@ -25,14 +25,14 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, compress, zip_longest
+from itertools import combinations_with_replacement, compress, zip_longest
 from math import comb, factorial, gcd, lcm, perm, prod
 from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._value import Value
 from .errors import DimensionMismatch, InputError, NonzeroConstantTerm
-from .lattice import CohomologyClass, IntersectionForm
+from .lattice import CohomologyClass, IntersectionForm, _integers
 
 Scalar = Union[int, Fraction]
 
@@ -64,7 +64,7 @@ class TruncatedPolynomial(Value):
     to nonzero ints and `den` (a plain attribute, not a field) is a positive
     int with gcd(den, *terms.values()) = 1, and den = 1 for the zero
     polynomial.  That form is unique, so `==` and `hash` compare exactly.
-    The constructor takes int or Fraction coefficients and checks every exponent.
+    The constructor takes int or Fraction coefficients and int exponents.
     """
 
     nvars: int
@@ -75,13 +75,14 @@ class TruncatedPolynomial(Value):
         _require_bound(self.bound)
         clean = {}
         for expo, coeff in self.terms.items():
+            expo = _integers(expo, "exponents")
             if len(expo) != self.nvars:
                 raise DimensionMismatch("exponent length != variable count")
             if any(x < 0 for x in expo):
-                raise InputError(f"negative exponent in {tuple(expo)}")
+                raise InputError(f"negative exponent in {expo}")
             c = _exact(coeff, "coefficient")
             if c != 0 and sum(expo) <= self.bound:
-                clean[tuple(expo)] = c
+                clean[expo] = c
         nums, den = _over_common_den(clean.values())
         object.__setattr__(self, "terms", dict(zip(clean, nums)))
         object.__setattr__(self, "den", den)
@@ -289,15 +290,7 @@ class TruncatedPolynomial(Value):
         """Graded-lex sorted text form, e.g. '1 + 2*h1*h2 - 1/2*h3^2', with
         the variables named h1, h2, .. or `names`."""
         names = names or [f"h{i + 1}" for i in range(self.nvars)]
-        # Degree up, then exponents down, by C comparisons alone: an exponent
-        # tuple within a bound below 256 compares as its bytes.
-        order = sorted(self.terms, key=bytes if self.bound < 256 else None, reverse=True)
-        order.sort(key=sum)
-        monomials = (
-            [n if k == 1 else f"{n}^{k}" for n, k in zip(compress(names, e), filter(None, e))]
-            for e in order
-        )
-        return _render_terms(self.den, zip(map(self.terms.__getitem__, order), monomials))
+        return _render_terms(self.den, {_sparse(e): c for e, c in self.terms.items()}, names)
 
     def digest(self) -> str:
         """12 hex digits of the sha256 of `render()`: see `_digest`."""
@@ -307,11 +300,15 @@ class TruncatedPolynomial(Value):
         return f"TruncatedPolynomial({self.render()!r}, bound={self.bound})"
 
 
-def _render_terms(den: int, terms: Iterable[tuple[int, list[str]]]) -> str:
-    """The text of the sum of num/den times the product of the factors over
-    (num, factors) in print order, each coefficient in lowest terms."""
+def _render_terms(den: int, terms: Mapping[tuple, int], names: Sequence[str]) -> str:
+    """The text of the sum of num/den x^key over `terms`, {sparse key: num}
+    (see `_sparse`), with x_i named names[i]: in graded-lex order, degree up
+    and then keys up, each coefficient in lowest terms by one gcd per
+    distinct numerator."""
+    order = sorted(sorted(terms), key=len)
     pieces, heads = [], {}  # num -> (sign, coefficient text, "" for 1)
-    for num, mono in terms:
+    for key in order:
+        num = terms[key]
         head = heads.get(num)
         if head is None:
             g = gcd(num, den)
@@ -319,6 +316,13 @@ def _render_terms(den: int, terms: Iterable[tuple[int, list[str]]]) -> str:
             coeff = "" if p == q == 1 else str(p) if q == 1 else f"{p}/{q}"
             head = heads[num] = ("- " if num < 0 else "+ "), coeff
         sign, coeff = head
+        if len(set(key)) == len(key):
+            mono = list(map(names.__getitem__, key))
+        else:
+            mono = [
+                names[i] if (e := key.count(i)) == 1 else f"{names[i]}^{e}"
+                for i in dict.fromkeys(key)
+            ]
         if coeff or not mono:
             mono = [coeff or "1", *mono]
         pieces.append(sign + "*".join(mono))
@@ -385,17 +389,19 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
     return TruncatedPolynomial._fast(nvars, bound, clean, den)
 
 
-# Sparse h-basis terms: a monomial is the ascending tuple of its variables'
-# indices, each repeated as often as its power (h1^2 h3 is (0, 0, 2)), so a
-# degree-d key has d entries whatever the rank.  Within one degree, ascending
-# keys are descending exponent tuples: `render`'s order.
+def _sparse(expo: Sequence[int]) -> tuple[int, ...]:
+    """The sparse key of a monomial: the ascending tuple of its variables'
+    indices, each repeated as often as its power (h1^2 h3 is (0, 0, 2)), so a
+    degree-d key has d entries whatever the rank.  Within one degree,
+    ascending keys are descending exponent tuples: `render`'s order."""
+    return tuple([i for i, e in enumerate(expo) if e for _ in range(e)])
 
 
-def _linear_power(form: Sequence[tuple[int, int]], n: int) -> dict:
-    """{key: integer coefficient} of (sum_j g_j h_j)^n over the (j, g_j) of
-    `form`, ascending in j: each multiset of n indices, in the order that
+def _linear_power(form: Mapping[tuple[int], int], n: int) -> dict:
+    """{key: integer coefficient} of (sum_j g_j h_j)^n over the {(j,): g_j}
+    of `form`, ascending in j: each multiset of n indices, in the order that
     combinations_with_replacement gives it, is its own key."""
-    indices, coeffs = [j for j, _ in form], [g for _, g in form]
+    indices, coeffs = [j for (j,) in form], list(form.values())
     fact, out = factorial(n), {}
     combos = combinations_with_replacement(indices, n)
     for key, c in zip(combos, map(prod, combinations_with_replacement(coeffs, n))):
@@ -461,8 +467,10 @@ def quadratic_form(Q: IntersectionForm, bound: int) -> TruncatedPolynomial:
     for i, row in enumerate(Q._rows if bound >= 2 else ()):
         for j, g in row:
             if j >= i:
-                expo = tuple(int(x == i) + int(x == j) for x in range(Q.rank))
-                terms[expo] = g if i == j else 2 * g
+                expo = [0] * Q.rank
+                expo[i] += 1
+                expo[j] += 1
+                terms[tuple(expo)] = g if i == j else 2 * g
     return TruncatedPolynomial._fast(Q.rank, bound, terms)
 
 
@@ -596,27 +604,16 @@ class Span:
         it, from the sparse terms of `_expanded`: no exponent tuple of the
         rank's length is built, so a term costs what its degree costs."""
         self._require_own(p)
-        if self.full_rank:
-            return len(p.terms), p.render()
         terms = self._expanded(p)
-        order = sorted(terms)
-        order.sort(key=len)
         names = [f"h{i + 1}" for i in range(self.form.rank)]
-        monomials = (
-            list(map(names.__getitem__, key))
-            if len(set(key)) == len(key)
-            else [
-                names[i] if (e := key.count(i)) == 1 else f"{names[i]}^{e}"
-                for i in dict.fromkeys(key)
-            ]
-            for key in order
-        )
-        return len(terms), _render_terms(p.den, zip(map(terms.__getitem__, order), monomials))
+        return len(terms), _render_terms(p.den, terms, names)
 
     def _expanded(self, p: TruncatedPolynomial) -> dict:
         """The terms of expand(p) as {sparse key: numerator over p.den}: each
         term of p is a product of powers of <v_i,h> and Q(h), and each power
-        is built once per call."""
+        is built once per call.  When k = rank, p's own terms."""
+        if self.full_rank:
+            return {_sparse(e): c for e, c in p.terms.items()}
         k, factors, powers, out = self.k, self._h_factors, {}, {}
         get = out.get
         for expo, c in p.terms.items():
@@ -650,7 +647,7 @@ class Span:
             for expo in p.terms:
                 used.update(compress(range(self.k + 1), expo))  # index k: Q(h)
                 degrees.add(sum(expo))
-        n = len(frozenset().union(*(self._h_supports[i] for i in used)))
+        n = len({j for i in used for key in self._h_factors[i] for j in key})
         return sum(comb(n + d - 1, d) if n else 1 for d in degrees)
 
     def render(self, p: TruncatedPolynomial) -> str:
@@ -662,9 +659,8 @@ class Span:
         if self.full_rank:
             return p.render()
         k = self.k
-        terms = {expo[:k] + (self._q_power(expo),): c for expo, c in p.terms.items()}
-        written = TruncatedPolynomial._fast(k + 1, p.bound, terms, p.den)
-        return written.render(self.names + ["Q"])
+        terms = {_sparse(expo[:k] + (self._q_power(expo),)): c for expo, c in p.terms.items()}
+        return _render_terms(p.den, terms, self.names + ["Q"])
 
     def _require_own(self, p: TruncatedPolynomial) -> None:
         if p.nvars != self.nvars:
@@ -680,20 +676,8 @@ class Span:
         return b
 
     @cached_property
-    def _h_factors(self) -> list:
-        """<v_1,h>, .., <v_k,h> as their (j, g_j), ascending in j, and Q(h) =
-        h^T gram h as its sparse {key: integer coefficient}, on first use."""
-        linear = [[(j, g) for j, g in enumerate(self.form.apply(v)) if g] for v in self.basis]
-        quadratic = {
-            (i, j): g if i == j else 2 * g
-            for i, row in enumerate(self.form._rows)
-            for j, g in row
-            if j >= i
-        }
-        return linear + [quadratic]
-
-    @cached_property
-    def _h_supports(self) -> list[frozenset]:
-        """The indices j of the h_j in each of `_h_factors`."""
-        *linear, quadratic = self._h_factors
-        return [frozenset(j for j, _ in f) for f in linear] + [frozenset(chain(*quadratic))]
+    def _h_factors(self) -> list[dict]:
+        """<v_1,h>, .., <v_k,h> and Q(h) as sparse {key: integer coefficient},
+        from `linear_form` and `quadratic_form`, on first use."""
+        forms = [linear_form(v, self.form, 1) for v in self.basis] + [quadratic_form(self.form, 2)]
+        return [{_sparse(e): c for e, c in f.terms.items()} for f in forms]

@@ -394,6 +394,7 @@ def render_cases(draw):
 @example(TruncatedPolynomial(2, 4, {(0, 0): -1, (1, 0): 1, (0, 2): -1, (2, 1): Fraction(-3, 4)}))
 @example(TruncatedPolynomial(3, 4, {(0, 1, 0): -1, (0, 0, 0): 1, (1, 0, 3): Fraction(5, 2)}))
 @example(TruncatedPolynomial(1, 2, {(2,): Fraction(-1, 3)}))
+@example(TruncatedPolynomial(2, 600, {(1, 0): 1, (300, 0): -2, (44, 256): 3, (256, 44): Fraction(1, 3)}))
 def test_render_round_trips_in_graded_lex_order(p):
     terms = parse_rendered(p.render(), p.nvars)
     assert TruncatedPolynomial(p.nvars, p.bound, dict(terms)) == p
@@ -421,6 +422,17 @@ def test_rejects_bad_exponents_before_truncating():
     with pytest.raises(InputError):
         TruncatedPolynomial(2, 1, {(-1, 5): 1})
     assert TruncatedPolynomial(2, 2, {(3, 0): 1, (1, 1): 0}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "expo", [(1.5, 0), (1.0, 1), (Fraction(1), 0), (True, 0), (0, False), ("a", 0), 7]
+)
+def test_rejects_exponents_that_are_not_ints(expo):
+    # Every exponent goes through the lattice's integer rule: a float,
+    # Fraction or bool entry, even one equal to an int, is an input error,
+    # and so is a str entry or a key that is not a tuple at all.
+    with pytest.raises(InputError, match="exponents must be integers"):
+        TruncatedPolynomial(2, 3, {expo: 2})
 
 
 def test_rejects_inexact_scalars():

@@ -287,6 +287,7 @@ def test_span_render_writes_the_named_forms_and_q():
     full = Span(form, [CohomologyClass.basis_vector(i, 6) for i in range(6)])
     q = full.quadratic(2)
     assert full.render(q) == q.render() and full.expand_bound([q]) == len(q.terms)
+    assert full.render_expanded(q) == (len(q.terms), q.render())
 
 
 def test_span_rejects_what_it_cannot_express():

@@ -212,6 +212,30 @@ def test_verify_witten_e3(e3):
     assert report.c == 3
 
 
+def test_low_degree_fails_on_a_low_sw_term_that_both_series_share(monkeypatch, e5):
+    # Add Q(h), of degree 2 < c - 2 = 3, to SW and 2^(2-c) e^(Q/2) Q(h) to
+    # the Donaldson series: lhs - rhs stays empty, so only SW's own degrees
+    # show that both series have a term below c - 2.
+    X = e5.manifold
+    c = c_of_X(X)
+    sw_series_, assemble = witten._sw_series, witten._assemble_donaldson_series
+
+    def sw_plus(span, signed, bound):
+        return sw_series_(span, signed, bound) + span.quadratic(bound)
+
+    def lhs_plus(span, moments, bound):
+        qf = span.quadratic(bound)
+        shared = Fraction(1, 2 ** (c - 2)) * ((Fraction(1, 2) * qf).exp_series() * qf)
+        return assemble(span, moments, bound) + shared
+
+    monkeypatch.setattr(witten, "_sw_series", sw_plus)
+    monkeypatch.setattr(witten, "_assemble_donaldson_series", lhs_plus)
+    report = verify_witten(X, e5.w, e5.lam, attributes=e5.attributes)
+    assert c == 5 and (report.lhs - report.rhs).is_zero()
+    ok = {cid: ok for cid, ok, _ in report.checks}
+    assert ok["congruence.witten"] and not ok["congruence.low_degree"]
+
+
 def test_verify_hypothesis_failures(k3):
     X = k3.manifold
     with pytest.raises(HypothesisViolated, match="effective"):
