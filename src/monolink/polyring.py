@@ -1,12 +1,14 @@
 """Truncated multivariate polynomials over exact rationals.
 
-The carrier for all series work: sparse terms keyed by exponent tuples,
-truncated at a total-degree bound.  A polynomial stores integer numerators
-over one positive common denominator `den`, in lowest terms, so every ring
-operation is integer arithmetic with at most one gcd per result.
-`Fraction`s appear only at the boundary: constructor input, `coefficient`,
-`constant_term`, `evaluate` and scalars; every input value must be an int
-or a Fraction, never a float.  `**` and `exp_series` generate their
+The carrier for all series work: sparse terms truncated at a total-degree
+bound, in one monomial format, the sparse key of `_sparse` (a degree-d key
+has d entries whatever the variable count).  Exponent tuples and `Fraction`s
+appear only at the boundary: constructor input and `coefficient` (each
+exponent validated and converted once), `constant_term`, `evaluate` and
+scalars; every input value must be an int or a Fraction, never a float.  A
+polynomial stores integer numerators over one positive common denominator
+`den`, in lowest terms, so every ring operation is integer arithmetic with
+at most one gcd per result.  `**` and `exp_series` generate their
 terms directly, without products of intermediate powers: `_sum_of_powers`
 adds walks num/den f p^n, the terms of p^n from one multinomial composition
 walk times a polynomial factor f, straight into one dict; the base p comes
@@ -25,9 +27,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, compress, zip_longest
+from itertools import combinations_with_replacement, zip_longest
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import add as _add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ._value import Value
@@ -60,11 +61,12 @@ def _over_common_den(values: Iterable[Scalar]) -> tuple[list[int], int]:
 class TruncatedPolynomial(Value):
     """Polynomial with rational coefficients, truncated in total degree.
 
-    The coefficient of x^e is terms[e] / den: `terms` maps exponent tuples
-    to nonzero ints and `den` (a plain attribute, not a field) is a positive
-    int with gcd(den, *terms.values()) = 1, and den = 1 for the zero
-    polynomial.  That form is unique, so `==` and `hash` compare exactly.
-    The constructor takes int or Fraction coefficients and int exponents.
+    The coefficient of x^e is terms[_sparse(e, nvars)] / den: `terms` maps
+    sparse keys to nonzero ints and `den` (a plain attribute, not a field)
+    is a positive int with gcd(den, *terms.values()) = 1, and den = 1 for
+    the zero polynomial.  That form is unique, so `==` and `hash` compare
+    exactly.  The constructor takes int or Fraction coefficients keyed by
+    int exponent tuples.
     """
 
     nvars: int
@@ -75,14 +77,10 @@ class TruncatedPolynomial(Value):
         _require_bound(self.bound)
         clean = {}
         for expo, coeff in self.terms.items():
-            expo = _integers(expo, "exponents")
-            if len(expo) != self.nvars:
-                raise DimensionMismatch("exponent length != variable count")
-            if any(x < 0 for x in expo):
-                raise InputError(f"negative exponent in {expo}")
+            key = _sparse(expo, self.nvars)
             c = _exact(coeff, "coefficient")
-            if c != 0 and sum(expo) <= self.bound:
-                clean[expo] = c
+            if c != 0 and len(key) <= self.bound:
+                clean[key] = c
         nums, den = _over_common_den(clean.values())
         object.__setattr__(self, "terms", dict(zip(clean, nums)))
         object.__setattr__(self, "den", den)
@@ -122,18 +120,18 @@ class TruncatedPolynomial(Value):
         terms = {
             e: c * mine
             for e, c in self.terms.items()
-            if bound == self.bound or sum(e) <= bound
+            if bound == self.bound or len(e) <= bound
         }
-        for expo, c in other.terms.items():
-            if bound < other.bound and sum(expo) > bound:
+        for key, c in other.terms.items():
+            if bound < other.bound and len(key) > bound:
                 continue
             c *= theirs
-            acc = terms.get(expo)
+            acc = terms.get(key)
             total = c if acc is None else acc + c
             if total:
-                terms[expo] = total
+                terms[key] = total
             elif acc is not None:
-                del terms[expo]
+                del terms[key]
         return TruncatedPolynomial._fast(self.nvars, bound, terms, self.den * mine)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
@@ -157,12 +155,8 @@ class TruncatedPolynomial(Value):
         if not isinstance(other, TruncatedPolynomial):
             return self.__rmul__(other)
         bound = self._align(other)
-        left = sorted(
-            ((sum(e), e, c) for e, c in self.terms.items()), key=lambda t: t[0]
-        )
-        right = sorted(
-            ((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0]
-        )
+        left = sorted(((len(e), e, c) for e, c in self.terms.items()), key=lambda t: t[0])
+        right = sorted(((len(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0])
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for d1, e1, c1 in left:
@@ -171,7 +165,7 @@ class TruncatedPolynomial(Value):
             for d2, e2, c2 in right:
                 if d1 + d2 > bound:
                     break
-                key = tuple(map(_add, e1, e2))
+                key = tuple(sorted(e1 + e2))
                 acc = get(key)
                 out[key] = c1 * c2 if acc is None else acc + c1 * c2
         for key in [k for k, v in out.items() if not v]:
@@ -189,7 +183,7 @@ class TruncatedPolynomial(Value):
     # -- series operations ----------------------------------------------
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
+        return Fraction(self.terms.get((), 0), self.den)
 
     def exp_series(self) -> "TruncatedPolynomial":
         """sum_k self^k / k!, requiring a zero constant term.
@@ -197,13 +191,13 @@ class TruncatedPolynomial(Value):
         The terms commute, so this is the product over the terms c x^e of
         sum_{k <= bound/|e|} (c/den)^k x^(ke) / k!, each factor built
         directly over den^K K! with numerators c^k den^(K-k) K!/k!."""
-        if (0,) * self.nvars in self.terms:
+        if () in self.terms:
             raise NonzeroConstantTerm("exp needs zero constant term")
         out, den = None, self.den
         for e, c in self.terms.items():
-            K = self.bound // sum(e)
+            K = self.bound // len(e)
             nums = {
-                tuple(k * x for x in e): c**k * den ** (K - k) * perm(K, K - k)
+                tuple(sorted(e * k)): c**k * den ** (K - k) * perm(K, K - k)
                 for k in range(K + 1)
             }
             factor = TruncatedPolynomial._fast(
@@ -242,7 +236,7 @@ class TruncatedPolynomial(Value):
         """[homogeneous_part(d) for d in degrees], in one pass over the terms."""
         parts = {d: {} for d in degrees}
         for e, c in self.terms.items():
-            parts.get(sum(e), {})[e] = c  # a degree not asked for: a throwaway dict
+            parts.get(len(e), {})[e] = c  # a degree not asked for: a throwaway dict
         make = TruncatedPolynomial._fast
         return [make(self.nvars, self.bound, part, self.den) for part in parts.values()]
 
@@ -251,25 +245,28 @@ class TruncatedPolynomial(Value):
         return TruncatedPolynomial._fast(
             self.nvars,
             bound,
-            {e: c for e, c in self.terms.items() if sum(e) <= bound},
+            {e: c for e, c in self.terms.items() if len(e) <= bound},
             self.den,
         )
 
+    def degrees(self) -> set[int]:
+        """The total degrees of the terms."""
+        return set(map(len, self.terms))
+
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(tuple(expo), 0), self.den)
+        return Fraction(self.terms.get(_sparse(expo, self.nvars), 0), self.den)
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         if len(values) != self.nvars:
             raise DimensionMismatch("evaluation point has wrong length")
         # values_i = nums_i / d: a term of degree k times d^(top - k) is an int.
         nums, d = _over_common_den(_exact(v, "value") for v in values)
-        top = max(map(sum, self.terms), default=0)
+        top = max(map(len, self.terms), default=0)
         total = 0
-        for expo, c in self.terms.items():
-            for a, e in zip(nums, expo):
-                if e:
-                    c *= a**e
-            total += c * d ** (top - sum(expo))
+        for key, c in self.terms.items():
+            for i in key:
+                c *= nums[i]
+            total += c * d ** (top - len(key))
         return Fraction(total, self.den * d**top)
 
     def __eq__(self, other) -> bool:
@@ -290,7 +287,7 @@ class TruncatedPolynomial(Value):
         """Graded-lex sorted text form, e.g. '1 + 2*h1*h2 - 1/2*h3^2', with
         the variables named h1, h2, .. or `names`."""
         names = names or [f"h{i + 1}" for i in range(self.nvars)]
-        return _render_terms(self.den, {_sparse(e): c for e, c in self.terms.items()}, names)
+        return _render_terms(self.den, self.terms, names)
 
     def digest(self) -> str:
         """12 hex digits of the sha256 of `render()`: see `_digest`."""
@@ -301,8 +298,8 @@ class TruncatedPolynomial(Value):
 
 
 def _render_terms(den: int, terms: Mapping[tuple, int], names: Sequence[str]) -> str:
-    """The text of the sum of num/den x^key over `terms`, {sparse key: num}
-    (see `_sparse`), with x_i named names[i]: in graded-lex order, degree up
+    """The text of the sum of num/den x^key over `terms`, {sparse key: num},
+    with x_i named names[i]: in graded-lex order, degree up
     and then keys up, each coefficient in lowest terms by one gcd per
     distinct numerator."""
     order = sorted(sorted(terms), key=len)
@@ -341,11 +338,12 @@ def _digest(text: str) -> str:
 
 
 def _power_table(p: TruncatedPolynomial, top: int) -> tuple:
-    """(p.den, [(|e|, [(k e, c^k) for k <= top])] over p's terms c x^e, sorted
-    by degree): the base of every `_sum_of_powers` walk of p^n, n <= top."""
+    """(p.den, [(|e|, [(key of x^(k e), c^k) for k <= top])] over p's terms
+    c x^e, sorted by degree): the base of every `_sum_of_powers` walk of p^n,
+    n <= top."""
     return p.den, [
-        (d, [(tuple([k * x for x in e]), c**k) for k in range(top + 1)])
-        for d, e, c in sorted((sum(e), e, c) for e, c in p.terms.items())
+        (d, [(tuple(sorted(e * k)), c**k) for k in range(top + 1)])
+        for d, e, c in sorted((len(e), e, c) for e, c in p.terms.items())
     ]
 
 
@@ -357,30 +355,30 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
     pass over the compositions k of n over p's terms (n!/k! prod_t c_t^k_t from
     running binomials and the table's powers), cut once no completion fits."""
     dens = [wden * pden**n * (1 if f is None else f.den) for (pden, _), n, f, _, wden in walks]
-    den, origin = lcm(*dens), (0,) * nvars
+    den = lcm(*dens)
     out: dict[tuple[int, ...], int] = {}
     get = out.get
     for ((_, items), n, f, num, _), wden in zip(walks, dens):
         acc = num * (den // wden)
-        starts = [(origin, acc)] if f is None else [(e, acc * c) for e, c in f.terms.items()]
+        starts = [((), acc)] if f is None else [(e, acc * c) for e, c in f.terms.items()]
         if n == 0:
             for key, c in starts:
                 out[key] = get(key, 0) + c
             continue
         # Sorted by degree, so a term too big for all that is left ends a walk.
         last = len(items) - 1
-        # (start, left, deg, expo, acc): the next nonzero k_t has t >= start,
+        # (start, left, deg, base, acc): the next nonzero k_t has t >= start,
         # and the last term takes the rest.
-        stack = [(0, n, sum(expo), expo, c) for expo, c in starts]
+        stack = [(0, n, len(key), key, c) for key, c in starts]
         while stack:
-            start, left, deg, expo, acc = stack.pop()
+            start, left, deg, base, acc = stack.pop()
             for t in range(start, last + 1):
                 d, steps = items[t]
                 if deg + left * d > bound:
                     break
                 for k in range(left if t == last else 1, left + 1):
                     ke, ck = steps[k]
-                    key, value = tuple(map(_add, expo, ke)), acc * comb(left, k) * ck
+                    key, value = tuple(sorted(base + ke)), acc * comb(left, k) * ck
                     if k == left:
                         out[key] = get(key, 0) + value
                     else:
@@ -389,11 +387,16 @@ def _sum_of_powers(nvars: int, bound: int, walks: list) -> TruncatedPolynomial:
     return TruncatedPolynomial._fast(nvars, bound, clean, den)
 
 
-def _sparse(expo: Sequence[int]) -> tuple[int, ...]:
-    """The sparse key of a monomial: the ascending tuple of its variables'
-    indices, each repeated as often as its power (h1^2 h3 is (0, 0, 2)), so a
-    degree-d key has d entries whatever the rank.  Within one degree,
-    ascending keys are descending exponent tuples: `render`'s order."""
+def _sparse(expo: Sequence[int], nvars: int) -> tuple[int, ...]:
+    """The key of x^expo: its variables' indices ascending, each repeated as
+    often as its power (h1^2 h3 is (0, 0, 2)).  Within one degree, ascending
+    keys are descending exponent tuples: `render`'s order.  `expo` must be
+    nvars ints (no bool or float), none negative."""
+    expo = _integers(expo, "exponents")
+    if len(expo) != nvars:
+        raise DimensionMismatch("exponent length != variable count")
+    if any(x < 0 for x in expo):
+        raise InputError(f"negative exponent in {expo}")
     return tuple([i for i, e in enumerate(expo) if e for _ in range(e)])
 
 
@@ -431,7 +434,7 @@ def zero(nvars: int, bound: int) -> TruncatedPolynomial:
 def constant(value: Scalar, nvars: int, bound: int) -> TruncatedPolynomial:
     _require_bound(bound)
     value = _exact(value, "constant")
-    terms = {(0,) * nvars: value.numerator} if value else {}
+    terms = {(): value.numerator} if value else {}
     return TruncatedPolynomial._fast(nvars, bound, terms, value.denominator)
 
 
@@ -440,9 +443,7 @@ def _linear(
 ) -> TruncatedPolynomial:
     """sum_i c_i x_i / den over the (i, c_i) pairs given, c_i integers."""
     _require_bound(bound)
-    terms = {
-        (0,) * i + (1,) + (0,) * (nvars - i - 1): c for i, c in coeffs if c and bound
-    }
+    terms = {(i,): c for i, c in coeffs if c and bound}
     return TruncatedPolynomial._fast(nvars, bound, terms, den)
 
 
@@ -463,14 +464,12 @@ def linear_form(
 def quadratic_form(Q: IntersectionForm, bound: int) -> TruncatedPolynomial:
     """Degree-two polynomial Q(h, h) = h^T gram h, from the Gram rows' nonzeros."""
     _require_bound(bound)
-    terms = {}
-    for i, row in enumerate(Q._rows if bound >= 2 else ()):
-        for j, g in row:
-            if j >= i:
-                expo = [0] * Q.rank
-                expo[i] += 1
-                expo[j] += 1
-                terms[tuple(expo)] = g if i == j else 2 * g
+    terms = {
+        (i, j): g if i == j else 2 * g
+        for i, row in enumerate(Q._rows if bound >= 2 else ())
+        for j, g in row
+        if j >= i
+    }
     return TruncatedPolynomial._fast(Q.rank, bound, terms)
 
 
@@ -533,9 +532,7 @@ class Span:
         if self.full_rank:
             self._quadratic_poly = quadratic_form(form, 2)
         else:
-            self._quadratic_poly = TruncatedPolynomial._fast(
-                self.nvars, 2, {(0,) * k + (1, 1): 1}
-            )
+            self._quadratic_poly = TruncatedPolynomial._fast(self.nvars, 2, {(k, k + 1): 1})
 
     def _reduce(self, cls: CohomologyClass) -> tuple[list, list, int]:
         """(remainder, c, m), all integers with m > 0, such that
@@ -591,18 +588,11 @@ class Span:
         self._require_own(p)
         if self.full_rank:
             return p
-        rank, terms = self.form.rank, {}
-        for key, c in self._expanded(p).items():
-            expo = [0] * rank
-            for i in key:
-                expo[i] += 1
-            terms[tuple(expo)] = c
-        return TruncatedPolynomial._fast(rank, p.bound, terms, p.den)
+        return TruncatedPolynomial._fast(self.form.rank, p.bound, self._expanded(p), p.den)
 
     def render_expanded(self, p: TruncatedPolynomial) -> tuple[int, str]:
         """(the number of terms, the text) of expand(p), as `render` writes
-        it, from the sparse terms of `_expanded`: no exponent tuple of the
-        rank's length is built, so a term costs what its degree costs."""
+        it, from the terms of `_expanded`, without building that polynomial."""
         self._require_own(p)
         terms = self._expanded(p)
         names = [f"h{i + 1}" for i in range(self.form.rank)]
@@ -613,23 +603,23 @@ class Span:
         term of p is a product of powers of <v_i,h> and Q(h), and each power
         is built once per call.  When k = rank, p's own terms."""
         if self.full_rank:
-            return {_sparse(e): c for e, c in p.terms.items()}
+            return p.terms
         k, factors, powers, out = self.k, self._h_factors, {}, {}
         get = out.get
-        for expo, c in p.terms.items():
-            term = None
-            for i, n in enumerate(expo[:k] + (self._q_power(expo),)):
-                if n:
-                    power = powers.get((i, n))
-                    if power is None:
-                        if i < k:
-                            power = _linear_power(factors[i], n)
-                        else:  # Q(h)^n, by n - 1 products
-                            power = factors[k]
-                            for _ in range(n - 1):
-                                power = _sparse_mul(power, factors[k])
-                        powers[i, n] = power
-                    term = power if term is None else _sparse_mul(term, power)
+        for key, c in p.terms.items():
+            term, key = None, key[: len(key) - self._q_power(key)]  # Q(h) as index k
+            for i in dict.fromkeys(key):
+                n = key.count(i)
+                power = powers.get((i, n))
+                if power is None:
+                    if i < k:
+                        power = _linear_power(factors[i], n)
+                    else:  # Q(h)^n, by n - 1 products
+                        power = factors[k]
+                        for _ in range(n - 1):
+                            power = _sparse_mul(power, factors[k])
+                    powers[i, n] = power
+                term = power if term is None else _sparse_mul(term, power)
             for key, v in (term or {(): 1}).items():
                 out[key] = get(key, 0) + c * v
         return {key: v for key, v in out.items() if v}
@@ -644,9 +634,9 @@ class Span:
         used, degrees = set(), set()
         for p in parts:
             self._require_own(p)
-            for expo in p.terms:
-                used.update(compress(range(self.k + 1), expo))  # index k: Q(h)
-                degrees.add(sum(expo))
+            used.update(*p.terms)
+            degrees |= p.degrees()
+        used.discard(self.k + 1)  # Q(h) = u*v counts once, as u's index k
         n = len({j for i in used for key in self._h_factors[i] for j in key})
         return sum(comb(n + d - 1, d) if n else 1 for d in degrees)
 
@@ -658,8 +648,7 @@ class Span:
         self._require_own(p)
         if self.full_rank:
             return p.render()
-        k = self.k
-        terms = {_sparse(expo[:k] + (self._q_power(expo),)): c for expo, c in p.terms.items()}
+        terms = {key[: len(key) - self._q_power(key)]: c for key, c in p.terms.items()}
         return _render_terms(p.den, terms, self.names + ["Q"])
 
     def _require_own(self, p: TruncatedPolynomial) -> None:
@@ -668,9 +657,11 @@ class Span:
                 f"variable counts differ: {p.nvars} vs {self.nvars}"
             )
 
-    def _q_power(self, expo: tuple) -> int:
-        """b of a monomial x^a u^b v^b; InputError unless u and v share it."""
-        b, b_v = expo[self.k :]
+    def _q_power(self, key: tuple) -> int:
+        """b of a monomial x^a u^b v^b (its key ends in b k's and b (k+1)'s,
+        so key[:len(key) - b] reads Q(h) as index k); InputError unless u
+        and v share it."""
+        b, b_v = key.count(self.k), key.count(self.k + 1)
         if b != b_v:
             raise InputError(f"u^{b} v^{b_v} is not a power of Q(h) = u*v")
         return b
@@ -680,4 +671,4 @@ class Span:
         """<v_1,h>, .., <v_k,h> and Q(h) as sparse {key: integer coefficient},
         from `linear_form` and `quadratic_form`, on first use."""
         forms = [linear_form(v, self.form, 1) for v in self.basis] + [quadratic_form(self.form, 2)]
-        return [{_sparse(e): c for e, c in f.terms.items()} for f in forms]
+        return [f.terms for f in forms]

@@ -284,9 +284,9 @@ def _assemble_donaldson_series(
     get = out.get
     for moment, entry_den in zip(moments.values(), dens):
         scale = den // entry_den
-        for expo, c in moment.terms.items():
-            out[expo] = get(expo, 0) + c * scale
-    return TruncatedPolynomial._fast(span.nvars, bound, {e: c for e, c in out.items() if c}, den)
+        for key, c in moment.terms.items():
+            out[key] = get(key, 0) + c * scale
+    return TruncatedPolynomial._fast(span.nvars, bound, {k: c for k, c in out.items() if c}, den)
 
 
 def assemble_donaldson_series(
@@ -422,10 +422,10 @@ def verify_witten(
     sw = _sw_series(span, signed[1], bound)
     qf = span.quadratic(bound)
     rhs = _times_pow2(1, 2 - c) * ((Fraction(1, 2) * qf).exp_series() * sw)
-    differ = {sum(expo) for expo in (lhs - rhs).terms}
+    differ = (lhs - rhs).degrees()
     # Degree d of sw is sum_s eps_s SW(s) <c1(s),h>^d / d!: the power sums
     # of the vanishing rows.
-    sw_degrees = {sum(expo) for expo in sw.terms}
+    sw_degrees = sw.degrees()
     # lhs = rhs + (lhs - rhs), and rhs starts in sw's lowest degree, since
     # e^(Q/2) = 1 + ...: both series vanish below c-2 iff neither lhs - rhs
     # nor sw has a term there.

@@ -404,8 +404,7 @@ def test_pairing_homogeneity_and_sign_law(synthetic_setups):
             PairingInput(X=X, t_prime=t, s=s, delta=delta, m=0, eta=top - delta, h=h)
         )
         n = delta
-        for expo in out.polynomial.terms:
-            assert sum(expo) == n
+        assert out.polynomial.degrees() <= {n}
         # scaling h by a rational scales the value by lambda^n
         lam_scale = Fraction(3, 2)
         scaled = out.polynomial.evaluate([lam_scale * c for c in h.coords])

@@ -19,7 +19,7 @@ from monolink.polyring import (
     zero,
 )
 
-from conftest import hyperbolic_gram
+from conftest import elliptic_fixture, hyperbolic_gram
 
 
 def h1(bound=4, nvars=2):
@@ -77,14 +77,24 @@ def ref_pow(p, n, nvars, bound):
     return ref_clean(out, bound)
 
 
+def exponents(key, nvars):
+    """The exponent tuple of a sparse key: the power of x_i is key.count(i)."""
+    return tuple(key.count(i) for i in range(nvars))
+
+
 def as_fractions(p):
-    return {e: p.coefficient(e) for e in p.terms}
+    return {exponents(key, p.nvars): Fraction(c, p.den) for key, c in p.terms.items()}
 
 
 def assert_canonical(p):
     assert all(type(c) is int and c for c in p.terms.values())
     assert p.den > 0 and gcd(p.den, *p.terms.values()) == 1
     assert p.den == 1 or not p.is_zero()
+    # Every key is a sparse key: its indices non-decreasing, each a variable,
+    # and as many as its degree, which is within the bound.
+    for key in p.terms:
+        assert type(key) is tuple and list(key) == sorted(key)
+        assert all(i in range(p.nvars) for i in key) and len(key) <= p.bound
 
 
 def fraction_dicts(nvars=3):
@@ -435,6 +445,41 @@ def test_rejects_exponents_that_are_not_ints(expo):
         TruncatedPolynomial(2, 3, {expo: 2})
 
 
+BAD_EXPONENTS = [
+    ((1.0, 0), InputError, "exponents must be integers"),
+    ((True, 0), InputError, "exponents must be integers"),
+    ((1,), DimensionMismatch, "exponent length"),
+    ((1, 0, 0), DimensionMismatch, "exponent length"),
+    ((-1, 0), InputError, "negative exponent"),
+]
+
+
+@pytest.mark.parametrize("expo, error, match", BAD_EXPONENTS)
+def test_constructor_and_coefficient_share_the_exponent_rule(expo, error, match):
+    # `coefficient` validates its exponent as the constructor does: a bool
+    # or float entry is not read as the int it equals, and a short tuple is
+    # not read as the key of a long one.
+    p = TruncatedPolynomial(2, 3, {(1, 0): 5})
+    with pytest.raises(error, match=match):
+        TruncatedPolynomial(2, 3, {expo: 1})
+    with pytest.raises(error, match=match):
+        p.coefficient(expo)
+    assert p.coefficient((1, 0)) == 5 and p.coefficient((0, 1)) == 0
+
+
+def test_rank_58_forms_have_sparse_keys():
+    # E(5)'s forms as the verify pipeline builds them: one index per degree,
+    # never an exponent tuple of the rank's length.
+    fx = elliptic_fixture(5)
+    form = fx.manifold.form
+    assert form.rank == 58
+    classes = [fx.lam] + [s.c1 for s in fx.manifold.basic_classes]
+    forms = [(linear_form(c, form, 3), {1}) for c in classes]
+    for p, degrees in forms + [(quadratic_form(form, 3), {2})]:
+        assert_canonical(p)
+        assert p.degrees() == degrees
+
+
 def test_rejects_inexact_scalars():
     # A float is never rounded into a coefficient: 0.1 would become
     # 3602879701896397/36028797018963968.
@@ -456,7 +501,10 @@ def test_rejects_inexact_scalars():
 @given(small_polys(), st.lists(st.fractions(max_denominator=5), min_size=2, max_size=2))
 def test_evaluate_at_rational_points(p, point):
     want = sum(
-        (p.coefficient(e) * point[0] ** e[0] * point[1] ** e[1] for e in p.terms),
+        (
+            p.coefficient(e) * point[0] ** e[0] * point[1] ** e[1]
+            for e in (exponents(key, 2) for key in p.terms)
+        ),
         Fraction(0),
     )
     assert p.evaluate(point) == want

@@ -69,6 +69,7 @@ ALLOWED = {
     "polyring.TruncatedPolynomial.__neg__": _POLY,
     "polyring.TruncatedPolynomial.homogeneous_part": _POLY,
     "polyring.TruncatedPolynomial.coefficient": _POLY,
+    "polyring._sparse": _POLY + ": the exponent rule of the two above",
     "_value.Value.__eq__": _VALUE,
     "_value.Value.__hash__": _VALUE,
     "_value.Value.__repr__": _VALUE,
